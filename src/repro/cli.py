@@ -141,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend",
         default=None,
         choices=backend_names(),
-        help="execution backend (bit-equivalent; default: python or "
+        help="agglomerative engine (bit-equivalent; default: python or "
         "$REPRO_BACKEND)",
     )
     anon.add_argument("--out", help="output CSV for the release")
@@ -202,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend",
         default=None,
         choices=backend_names(),
-        help="execution backend for every grid cell (bit-equivalent; "
+        help="agglomerative engine for every grid cell (bit-equivalent; "
         "default: python or $REPRO_BACKEND)",
     )
     exp.add_argument(
@@ -403,9 +403,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend",
         default=None,
         choices=backend_names(),
-        help="primary execution backend for every case (backend-aware "
-        "algorithms are cross-checked against the other backend "
-        "regardless; default: python or $REPRO_BACKEND)",
+        help="primary agglomerative engine for every case (the "
+        "agglomerative algorithms are cross-checked against the other "
+        "engine regardless; default: python or $REPRO_BACKEND)",
     )
 
     lint_cmd = sub.add_parser(

@@ -65,10 +65,11 @@ class AnonymizationResult:
     elapsed_seconds: float  #: wall-clock time of the algorithm
     clustering: Clustering | None = None  #: for clustering-based notions
     stats: dict[str, Any] = field(default_factory=dict)  #: extra diagnostics
-    #: Execution backend that produced the result.  Deliberately a
-    #: separate field, NOT a ``stats`` entry: backends are bit-equivalent
-    #: and ``stats`` feeds deterministic outputs (service bodies, journal
-    #: rows) that must not vary with the execution strategy.
+    #: Resolved ``backend`` argument (it selects only the agglomerative
+    #: engine).  Deliberately a separate field, NOT a ``stats`` entry:
+    #: backends are bit-equivalent and ``stats`` feeds deterministic
+    #: outputs (service bodies, journal rows) that must not vary with
+    #: the execution strategy.
     backend: str = "python"
 
     def verify(self, with_matches: bool | None = None) -> bool:
@@ -148,12 +149,13 @@ def anonymize(
     encoded:
         Optional pre-built encoding of ``table`` to reuse across calls.
     backend:
-        Execution backend, ``"python"`` or ``"columnar"``
+        Agglomerative engine for ``notion="k"`` with
+        ``algorithm="agglomerative"``: ``"python"`` or ``"columnar"``
         (:data:`repro.core.backend.BACKENDS`); ``None`` resolves via
-        :func:`repro.core.backend.resolve_backend`.  Backends are
+        :func:`repro.core.backend.resolve_backend`.  The engines are
         bit-equivalent — same generalization, same cost, same
-        tie-breaking — so this is purely a performance knob; the
-        resolved choice is recorded on
+        tie-breaking — so this is purely a performance knob, and no
+        other algorithm reads it.  The resolved choice is recorded on
         :attr:`AnonymizationResult.backend`.
 
     Returns
@@ -223,24 +225,22 @@ def anonymize(
             stats["num_clusters"] = clustering.num_clusters
     elif notion == "k1":
         if expander == "expansion":
-            node_matrix = k1_expansion(model, k, backend=backend)
+            node_matrix = k1_expansion(model, k)
         elif expander == "nearest":
-            node_matrix = k1_nearest_neighbors(model, k, backend=backend)
+            node_matrix = k1_nearest_neighbors(model, k)
         else:
             raise AnonymityError(
                 f"unknown expander {expander!r}; expected 'expansion' or 'nearest'"
             )
         algo_name = f"k1[{expander}]"
     elif notion == "1k":
-        node_matrix = one_k_anonymize(
-            model, enc.singleton_nodes, k, backend=backend
-        )
+        node_matrix = one_k_anonymize(model, enc.singleton_nodes, k)
         algo_name = "alg5"
     elif notion == "kk":
-        node_matrix = kk_anonymize(model, k, expander=expander, backend=backend)
+        node_matrix = kk_anonymize(model, k, expander=expander)
         algo_name = f"kk[{expander}+alg5]"
     else:  # global (1,k)
-        kk_nodes = kk_anonymize(model, k, expander=expander, backend=backend)
+        kk_nodes = kk_anonymize(model, k, expander=expander)
         node_matrix, conv = global_one_k_anonymize(model, kk_nodes, k)
         algo_name = f"global[{expander}+alg5+alg6]"
         stats["conversion_passes"] = conv.passes

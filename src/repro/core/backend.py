@@ -1,17 +1,21 @@
-"""Backend selection for the algorithmic core.
+"""Backend selection for the agglomerative engine.
 
-Two execution backends implement the paper's algorithms:
+The backend chooses which engine runs Algorithms 1–2 (the
+agglomerative family, including the blocked scalable driver); every
+other algorithm has a single implementation.  The (k,1)/(1,k) family
+(Algorithms 3–6) always prices candidate unions with the fused
+join→cost kernel :class:`repro.measures.base.FusedJoinCost`.
 
 ``"python"``
-    The seed-era engines: per-slot NumPy rows, a dense O(n²) distance
-    matrix for the agglomerative family.  Always available, always the
-    reference for differential testing.
+    The seed-era engine: per-slot NumPy rows and a dense O(n²) distance
+    matrix.  Always available, always the reference for differential
+    testing.
 ``"columnar"``
-    The bucketed/columnar engines of :mod:`repro.core.columnar`:
-    cluster-feature bucketing over the generalization lattice, fused
-    join/cost gather tables, and certified candidate pruning.  Requires
-    NumPy; produces **bit-identical** outputs (same merge sequence,
-    same tie-breaking) — the property the differential fuzz harness and
+    The bucketed engine of :mod:`repro.core.columnar`: cluster-feature
+    bucketing over the generalization lattice and certified candidate
+    pruning.  Requires NumPy; produces **bit-identical** outputs (same
+    merge sequence, same tie-breaking) — the property the differential
+    fuzz harness and
     :func:`repro.perf.equivalence.check_backend_equivalence` enforce.
 
 This module is deliberately NumPy-free at import time: it is the one

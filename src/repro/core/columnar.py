@@ -1,5 +1,4 @@
-"""The columnar backend: bucketed, matrix-free agglomerative engine
-plus fused join/cost kernels for the (k,1)/(k,k) family.
+"""The columnar backend: a bucketed, matrix-free agglomerative engine.
 
 Selected via ``backend="columnar"`` (:mod:`repro.core.backend`).  The
 contract is strict **bit-equivalence**: every algorithm ported here must
@@ -65,13 +64,10 @@ When the bound cannot certify — non-monotone measure (entropy), or a
 distance that does not declare monotonicity — the engine falls back to
 the full bucket scan: still O(B·r), never approximate.
 
-Fused kernels (:class:`FusedJoinCost`)
---------------------------------------
-The (k,1) algorithms spend their time in ``join_rows`` + ``record_cost``
-pairs.  ``F_j[a, b] = node_costs_j[join_j[a, b]]`` fuses the two table
-lookups into one gather per attribute; accumulation order matches
-``record_cost``, so the resulting cost vectors are bit-identical while
-skipping the materialized union matrix.
+Bucket scans price candidate unions with the fused join→cost kernel
+:class:`repro.measures.base.FusedJoinCost`, which every (k,1)/(1,k)
+algorithm uses too; its costs are bit-identical to ``record_cost`` of
+the materialized join.
 """
 
 from __future__ import annotations
@@ -79,11 +75,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.agglomerative import _Engine
-from repro.measures.base import CostModel
+from repro.measures.base import CostModel, FusedJoinCost
 from repro.obs import count
 from repro.runtime import checkpoint
 
-__all__ = ["FusedJoinCost", "union_cost_lower_bound"]
+__all__ = ["union_cost_lower_bound"]
 
 
 def union_cost_lower_bound(
@@ -98,45 +94,6 @@ def union_cost_lower_bound(
     can compare it against brute-force exact costs.
     """
     return np.maximum(cost_a, cost_b)
-
-
-class FusedJoinCost:
-    """Fused per-attribute ``join → node-cost`` gather tables.
-
-    ``pair_costs(nodes_a, node_b)`` returns exactly
-    ``model.record_cost(enc.join_rows(nodes_a, node_b))`` — same floats,
-    same accumulation order — via one linearized gather over every
-    attribute's fused table at once instead of two gathers per
-    attribute and a materialized union matrix.  The per-attribute
-    accumulation stays an explicit sequential loop: ``record_cost``
-    adds attribute terms left to right, and a vectorized ``sum`` would
-    reassociate the additions for wide schemas.
-    """
-
-    __slots__ = ("_flat", "_scale", "_offset", "_r")
-
-    def __init__(self, model: CostModel) -> None:
-        enc = model.enc
-        tables = [
-            model.node_costs[j][att.join] for j, att in enumerate(enc.attrs)
-        ]
-        self._r = enc.num_attributes
-        # Entry (a, b) of attribute j's table lives at
-        # offset[j] + a * scale[j] + b of the flattened concatenation.
-        self._scale = np.array([t.shape[1] for t in tables], dtype=np.int64)
-        sizes = np.array([t.size for t in tables], dtype=np.int64)
-        self._offset = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        self._flat = np.concatenate([t.ravel() for t in tables])
-
-    def pair_costs(self, nodes_a: np.ndarray, node_b: np.ndarray) -> np.ndarray:
-        """Union record costs of every row of ``nodes_a`` with ``node_b``."""
-        lin = nodes_a * self._scale + (self._offset + node_b)
-        picked = self._flat[lin]
-        total = np.zeros(nodes_a.shape[0], dtype=np.float64)
-        # repro: allow[REP011] bounded by the attribute count r; sequential accumulation is the bit-equivalence contract
-        for j in range(self._r):
-            total += picked[:, j]
-        return total / self._r
 
 
 class _ColumnarEngine(_Engine):

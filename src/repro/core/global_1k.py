@@ -30,10 +30,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.one_k import check_generalizes_rows
 from repro.errors import AnonymityError
 from repro.matching.allowed import allowed_edges
 from repro.matching.bipartite import ConsistencyGraph
-from repro.measures.base import CostModel
+from repro.measures.base import CostModel, FusedJoinCost
 from repro.runtime import checkpoint
 
 
@@ -69,7 +70,9 @@ def global_one_k_anonymize(
     max_passes:
         Safety bound on fix passes; defaults to k + 1, which suffices
         because every pass adds at least one match to every deficient
-        record.
+        record.  The allowed-edge check runs once more after the last
+        permitted pass, so ``p`` fix passes that reach global (1,k)
+        succeed under ``max_passes=p``.
 
     Raises
     ------
@@ -86,17 +89,14 @@ def global_one_k_anonymize(
             f"node matrix has shape {nodes.shape}, expected "
             f"{(n, enc.num_attributes)}"
         )
-    # repro: allow[REP011] O(n) precondition validation before the checkpointed conversion passes
-    for i in range(n):
-        if not bool(enc.consistency_mask(i, nodes[i])):
-            raise AnonymityError(
-                f"generalized record {i} does not generalize original record {i}"
-            )
+    check_generalizes_rows(enc, nodes)
     if max_passes is None:
         max_passes = k + 1
 
+    fused = FusedJoinCost(model)
+    singles_t = enc.singleton_nodes.T  # [r, n]
     stats = GlobalConversionStats()
-    for _ in range(max_passes):
+    while True:
         checkpoint("core.global_1k.pass")
         graph = ConsistencyGraph(enc, nodes)
         adjacency = graph.adjacency_lists()
@@ -111,6 +111,10 @@ def global_one_k_anonymize(
         deficient = [i for i in range(n) if len(allowed[i]) < k]
         if not deficient:
             break
+        if stats.passes == max_passes:
+            raise AnonymityError(
+                f"Algorithm 6 did not converge within {max_passes} passes"
+            )
         if stats.passes == 0:
             stats.initial_deficient = len(deficient)
             for i in deficient:
@@ -128,13 +132,8 @@ def global_one_k_anonymize(
                 )
             cand = np.asarray(candidates, dtype=np.int64)
             # d_h = c(R_jh + R̄_i) − c(R̄_i), R_jh the original record j_h.
-            union = enc.join_rows(enc.singleton_nodes[cand], nodes[i])
-            cost_new = np.asarray(model.record_cost(union), dtype=np.float64)
+            cost_new = fused.costs(singles_t[:, cand], nodes[i])
             h = int(cost_new.argmin())  # c(R̄_i) is constant; min d_h = min c
-            nodes[i] = union[h]
+            nodes[i] = enc.join_rows(enc.singleton_nodes[cand[h]], nodes[i])
             stats.fixes += 1
-    else:
-        raise AnonymityError(
-            f"Algorithm 6 did not converge within {max_passes} passes"
-        )
     return nodes, stats

@@ -22,10 +22,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.backend import resolve_backend
 from repro.errors import AnonymityError
-from repro.measures.base import CostModel
+from repro.measures.base import CostModel, FixedRowJoinCost, FusedJoinCost
 from repro.runtime import checkpoint
+
+#: Anchors priced per grow step: ``block × u`` stays near this many
+#: doubles, so the per-step working arrays stay cache-sized.
+_BLOCK_CELLS = 1 << 16
 
 
 def _check_k(model: CostModel, k: int) -> None:
@@ -36,49 +39,23 @@ def _check_k(model: CostModel, k: int) -> None:
         raise AnonymityError(f"k={k} exceeds the number of records n={n}")
 
 
-def _pair_cost_kernel(model: CostModel, backend: str | None):
-    """Cost-of-union kernel: ``f(nodes_a, node_b) -> record costs``.
-
-    The python backend materializes the union rows and prices them
-    (``join_rows`` + ``record_cost``); the columnar backend uses the
-    fused join→cost gather tables of
-    :class:`repro.core.columnar.FusedJoinCost`.  Both produce
-    bit-identical cost vectors (same lookups, same accumulation order).
-    """
-    if resolve_backend(backend) == "columnar":
-        from repro.core.columnar import FusedJoinCost
-
-        fused = FusedJoinCost(model)
-
-        def kernel(nodes_a: np.ndarray, node_b: np.ndarray) -> np.ndarray:
-            return fused.pair_costs(nodes_a, node_b)
-
-        return kernel
-    enc = model.enc
-
-    def kernel(nodes_a: np.ndarray, node_b: np.ndarray) -> np.ndarray:
-        union = enc.join_rows(nodes_a, node_b)
-        return np.asarray(model.record_cost(union), dtype=np.float64)
-
-    return kernel
+def _anchor_blocks(u: int) -> range:
+    return range(0, u, max(1, _BLOCK_CELLS // max(u, 1)))
 
 
-def k1_nearest_neighbors(
-    model: CostModel, k: int, backend: str | None = None
-) -> np.ndarray:
+def k1_nearest_neighbors(model: CostModel, k: int) -> np.ndarray:
     """Algorithm 3: join each record with its k−1 nearest records.
 
     "Nearest" is measured by the pairwise generalization cost
     d({R_i, R_j}) (line 1 of Algorithm 3); ties break on row order, and
-    duplicate rows are free nearest neighbours (pair cost 0).
-    ``backend`` selects the scan kernel (:func:`_pair_cost_kernel`);
-    the output is backend-independent, bit for bit.
+    duplicate rows are free nearest neighbours (pair cost 0).  Pair
+    costs of a block of anchors against every unique row come from the
+    fused join→cost kernel in one pass.
 
     Returns the ``[n, r]`` node matrix of the (k,1)-anonymization.
     """
     _check_k(model, k)
     enc = model.enc
-    n = enc.num_records
     if k <= 1:
         return enc.singleton_nodes.copy()
 
@@ -86,50 +63,45 @@ def k1_nearest_neighbors(
     counts = enc.unique_counts
     u = enc.num_unique
     unique_result = np.empty_like(u_nodes)
-    pair_costs = _pair_cost_kernel(model, backend)
+    pricer = FixedRowJoinCost(FusedJoinCost(model), u_nodes)
+    blocks = _anchor_blocks(u)
 
-    for a in range(u):
+    for start in blocks:
         checkpoint("core.k1.row")
+        anchors = np.arange(start, min(start + blocks.step, u))
         # closure({row_a, row_b}) costs against every unique row
-        pair_cost = np.asarray(pair_costs(u_nodes, u_nodes[a]), dtype=np.float64)
-        order = np.argsort(pair_cost, kind="stable")
-
-        closure = u_nodes[a].copy()
-        need = k - 1
-        avail_self = counts[a] - 1  # duplicate copies of row a, cost 0
-        take_self = min(avail_self, need)
-        need -= take_self
-        for b in order:
-            if need <= 0:
-                break
-            if b == a:
-                continue
-            take = min(int(counts[b]), need)
-            if take > 0:
+        orders = np.argsort(pricer.costs(u_nodes[anchors]), axis=1, kind="stable")
+        for a, order in zip(anchors.tolist(), orders):
+            closure = u_nodes[a]
+            # duplicate copies of row a are free neighbours
+            need = k - min(int(counts[a]), k)
+            for b in order.tolist():
+                if need <= 0:
+                    break
+                if b == a:
+                    continue
                 closure = enc.join_rows(closure, u_nodes[b])
-                need -= take
-        if need > 0:
-            raise AnonymityError(
-                "internal error: fewer than k records available"
-            )
-        unique_result[a] = closure
+                need -= min(int(counts[b]), need)
+            if need > 0:
+                raise AnonymityError(
+                    "internal error: fewer than k records available"
+                )
+            unique_result[a] = closure
 
     return unique_result[enc.unique_inverse]
 
 
-def k1_expansion(
-    model: CostModel, k: int, backend: str | None = None
-) -> np.ndarray:
+def k1_expansion(model: CostModel, k: int) -> np.ndarray:
     """Algorithm 4: grow each record's set greedily by cheapest increment.
 
     At every step the candidate minimizing d(S ∪ {R_j}) − d(S) is added
     (first-index tie-break over unique rows).  Note the increment may be
     negative under the entropy measure — generalizing into a subset
     dominated by a frequent value can *reduce* conditional entropy — so
-    the argmin is re-evaluated from scratch every step.  Under the
-    columnar backend the scan prices candidate unions via the fused
-    gather tables and materializes only the union row actually chosen;
-    the chosen indices and output are bit-identical.
+    the argmin is re-evaluated from scratch every step.  A block of
+    anchors grows in lockstep: one fused pricing of every unique row
+    against the block per step, and only the chosen union rows are
+    materialized.
 
     Returns the ``[n, r]`` node matrix of the (k,1)-anonymization.
     """
@@ -142,41 +114,31 @@ def k1_expansion(
     counts = enc.unique_counts
     u = enc.num_unique
     unique_result = np.empty_like(u_nodes)
-    columnar = resolve_backend(backend) == "columnar"
-    pair_costs = _pair_cost_kernel(model, backend)
+    pricer = FixedRowJoinCost(FusedJoinCost(model), u_nodes)
+    blocks = _anchor_blocks(u)
 
-    for a in range(u):
+    for start in blocks:
         checkpoint("core.k1.row")
-        remaining = counts.copy()
-        remaining[a] -= 1
-        cur = u_nodes[a].copy()
-        cur_cost = float(model.record_cost(cur))
-        size = 1
-        while size < k:
+        anchors = np.arange(start, min(start + blocks.step, u))
+        lanes = np.arange(anchors.size)
+        remaining = np.tile(counts, (anchors.size, 1))
+        remaining[lanes, anchors] -= 1
+        cur = u_nodes[anchors]
+        cur_cost = np.asarray(model.record_cost(cur), dtype=np.float64)
+        for _ in range(k - 1):
             checkpoint("core.k1.grow")
-            if columnar:
-                cost_union = pair_costs(u_nodes, cur)  # [u]
-                union = None
-            else:
-                union = enc.join_rows(u_nodes, cur)  # [u, r]
-                cost_union = np.asarray(
-                    model.record_cost(union), dtype=np.float64
-                )
-            delta = cost_union - cur_cost
+            cost_union = pricer.costs(cur)  # [block, u]
+            delta = cost_union - cur_cost[:, None]
             delta[remaining <= 0] = np.inf
-            b = int(delta.argmin())
-            if not np.isfinite(delta[b]):
+            b = delta.argmin(axis=1)
+            if not np.isfinite(delta[lanes, b]).all():
                 raise AnonymityError(
                     "internal error: fewer than k records available"
                 )
-            if union is None:
-                cur = enc.join_rows(u_nodes[b][None, :], cur)[0]
-            else:
-                cur = union[b]
-            cur_cost = float(cost_union[b])
-            remaining[b] -= 1
-            size += 1
-        unique_result[a] = cur
+            cur = enc.join_rows(u_nodes[b], cur)
+            cur_cost = cost_union[lanes, b]
+            remaining[lanes, b] -= 1
+        unique_result[anchors] = cur
 
     return unique_result[enc.unique_inverse]
 

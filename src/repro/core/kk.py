@@ -27,7 +27,6 @@ def kk_anonymize(
     k: int,
     expander: str = "expansion",
     join_with: str = "generalized",
-    backend: str | None = None,
 ) -> np.ndarray:
     """Produce a (k,k)-anonymization of the model's table.
 
@@ -43,9 +42,6 @@ def kk_anonymize(
     join_with:
         Passed to Algorithm 5; see
         :func:`repro.core.one_k.one_k_anonymize`.
-    backend:
-        Execution backend, threaded to both stages; the output is
-        backend-independent, bit for bit.
 
     Returns
     -------
@@ -53,20 +49,18 @@ def kk_anonymize(
     """
     checkpoint("core.kk.couple")
     if expander == "expansion":
-        base = k1_expansion(model, k, backend=backend)
+        base = k1_expansion(model, k)
     elif expander == "nearest":
-        base = k1_nearest_neighbors(model, k, backend=backend)
+        base = k1_nearest_neighbors(model, k)
     else:
         raise AnonymityError(
             f"unknown (k,1) expander {expander!r}; expected one of {EXPANDERS}"
         )
     checkpoint("core.kk.couple")
-    return one_k_anonymize(model, base, k, join_with=join_with, backend=backend)
+    return one_k_anonymize(model, base, k, join_with=join_with)
 
 
-def best_kk_anonymize(
-    model: CostModel, k: int, backend: str | None = None
-) -> tuple[np.ndarray, str]:
+def best_kk_anonymize(model: CostModel, k: int) -> tuple[np.ndarray, str]:
     """Run both couplings and keep the cheaper result.
 
     This is what Table I's "(k,k)-anon" row reports ("the result of the
@@ -77,7 +71,7 @@ def best_kk_anonymize(
     best_cost = np.inf
     best_name = ""
     for expander in EXPANDERS:
-        nodes = kk_anonymize(model, k, expander=expander, backend=backend)
+        nodes = kk_anonymize(model, k, expander=expander)
         cost = model.table_cost(nodes)
         if cost < best_cost:
             best_nodes, best_cost, best_name = nodes, cost, expander

@@ -19,11 +19,32 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.backend import resolve_backend
-from repro.core.k1 import _pair_cost_kernel
 from repro.errors import AnonymityError
-from repro.measures.base import CostModel
+from repro.measures.base import CostModel, FusedJoinCost
 from repro.runtime import checkpoint
+from repro.tabular.encoding import EncodedTable
+
+
+def check_generalizes_rows(enc: EncodedTable, nodes: np.ndarray) -> None:
+    """Raise unless generalized record i generalizes original record i
+    for every i — the precondition of Algorithms 5 and 6."""
+    ok = enc.generalizes_rows(nodes)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise AnonymityError(
+            f"generalized record {i} does not generalize original record {i}"
+        )
+
+
+def _stable_smallest(values: np.ndarray, m: int) -> np.ndarray:
+    """``np.argsort(values, kind="stable")[:m]`` for ``1 ≤ m ≤ len(values)``,
+    in O(len) instead of a full sort: every value below the m-th
+    smallest, then its ties in index order, sorted stably."""
+    cut = np.partition(values, m - 1)[m - 1]
+    below = np.flatnonzero(values < cut)
+    ties = np.flatnonzero(values == cut)[: m - below.size]
+    picked = np.concatenate((below, ties))
+    return picked[np.argsort(values[picked], kind="stable")]
 
 
 def one_k_anonymize(
@@ -31,7 +52,6 @@ def one_k_anonymize(
     node_matrix: np.ndarray,
     k: int,
     join_with: str = "generalized",
-    backend: str | None = None,
 ) -> np.ndarray:
     """Run Algorithm 5; returns a new node matrix, input left untouched.
 
@@ -52,11 +72,12 @@ def one_k_anonymize(
         with R_i and also preserves (k,1), and is usually — though not
         always, because candidate selection interacts across records —
         slightly cheaper overall).
-    backend:
-        ``"columnar"`` prices candidate unions through the fused
-        join→cost tables and materializes union rows only for the
-        ``k − ℓ`` records actually replaced; output is bit-identical
-        to the python backend.
+
+    Candidate unions are priced by the fused join→cost kernel; only the
+    ``k − ℓ`` rows actually replaced are materialized.  The record cost
+    vector, an attribute-major copy of the node matrix and the value
+    masks of :meth:`~repro.tabular.encoding.EncodedTable.value_masks`
+    are kept current as rows are replaced.
 
     Raises
     ------
@@ -80,38 +101,41 @@ def one_k_anonymize(
 
     # Precondition of the algorithm ("It is assumed that for all i,
     # R̄_i is a generalization of R_i").
-    # repro: allow[REP011] O(n) precondition validation before the checkpointed main loop
-    for i in range(n):
-        if not bool(enc.consistency_mask(i, nodes[i])):
-            raise AnonymityError(
-                f"generalized record {i} does not generalize original record {i}"
-            )
+    check_generalizes_rows(enc, nodes)
 
-    columnar = resolve_backend(backend) == "columnar"
-    pair_costs = _pair_cost_kernel(model, backend)
+    fused = FusedJoinCost(model)
+    nodes_t = nodes.T.astype(np.intp)  # [r, n], gather-ready indices
+    cost = np.asarray(model.record_cost(nodes), dtype=np.float64)
+    masks = enc.value_masks(nodes)
+    codes = enc.codes.tolist()
+    # Replacements only generalize, so consistent counts never drop: a
+    # record consistent with ≥ k generalized records now never needs a fix.
+    settled = np.concatenate(
+        [np.count_nonzero(b, axis=1) >= k for b in enc.consistency_blocks(masks)]
+    )[enc.unique_inverse]
 
     for i in range(n):
         checkpoint("core.one_k.record")
-        consistent = enc.consistency_mask(i, nodes)
-        ell = int(consistent.sum())
+        if settled[i]:
+            continue
+        consistent = masks[0][codes[i][0]].copy()
+        for mask, code in zip(masks[1:], codes[i][1:]):
+            consistent &= mask[code]
+        ell = int(np.count_nonzero(consistent))
         if ell >= k:
             continue
         candidates = np.flatnonzero(~consistent)
         anchor = nodes[i] if join_with == "generalized" else enc.singleton_nodes[i]
-        if columnar:
-            union = None
-            cost_new = pair_costs(nodes[candidates], anchor)
-        else:
-            union = enc.join_rows(nodes[candidates], anchor)
-            cost_new = np.asarray(model.record_cost(union), dtype=np.float64)
-        cost_old = np.asarray(
-            model.record_cost(nodes[candidates]), dtype=np.float64
-        )
-        delta = cost_new - cost_old
-        order = np.argsort(delta, kind="stable")[: k - ell]
+        # Pricing every row and keeping the candidates' prices costs less
+        # than gathering the candidates' rows first.
+        cost_new = fused.costs(nodes_t, anchor)[candidates]
+        delta = cost_new - cost[candidates]
+        order = _stable_smallest(delta, k - ell)
         chosen = candidates[order]
-        if union is None:
-            nodes[chosen] = enc.join_rows(nodes[chosen], anchor)
-        else:
-            nodes[chosen] = union[order]
+        union = enc.join_rows(nodes[chosen], anchor)
+        nodes[chosen] = union
+        nodes_t[:, chosen] = union.T
+        cost[chosen] = cost_new[order]
+        for j, att in enumerate(enc.attrs):
+            masks[j][:, chosen] = att.anc[:, union[:, j]]
     return nodes

@@ -16,6 +16,17 @@ whether any exact tie influenced a decision; the differential tests
 compare outcomes only for tie-free runs and fall back to
 invariant-level checks otherwise.
 
+The (k,1)/(1,k) family gets the same treatment:
+:func:`reference_k1_nearest`, :func:`reference_k1_expansion`,
+:func:`reference_one_k` and :func:`reference_global_one_k` price every
+candidate union by materializing it (one ``join_rows`` + ``record_cost``
+per anchor or record), and :func:`reference_adjacency` builds the
+consistency graph with one ``consistency_mask`` per record.  Their
+production counterparts — fused join→cost pricing over blocks of
+anchors, value masks over blocks of unique rows — must reproduce them
+byte for byte, ties included: both sides use first-index argmins and
+stable sorts.
+
 Only suitable for tiny tables (the scan is O(n³) overall); never use it
 outside tests.
 """
@@ -24,10 +35,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.clustering import Clustering
 from repro.core.distances import ClusterDistance
+from repro.core.k1 import _check_k
 from repro.errors import AnonymityError
+from repro.matching.allowed import allowed_edges
 from repro.measures.base import CostModel
+from repro.tabular.encoding import EncodedTable
 
 #: Two distances closer than this are treated as an exact tie.
 _TIE_EPS = 1e-12
@@ -151,3 +167,151 @@ def _shrink(
                 had_ties = True
         expelled.append(kept.pop(best_i))
     return kept, expelled, had_ties
+
+
+# ---------------------------------------------------------------------- #
+# (k,1) / (1,k): Algorithms 3-6, one materialized union per candidate set
+# ---------------------------------------------------------------------- #
+
+
+def reference_k1_nearest(model: CostModel, k: int) -> np.ndarray:
+    """Algorithm 3, one anchor at a time."""
+    _check_k(model, k)
+    enc = model.enc
+    if k <= 1:
+        return enc.singleton_nodes.copy()
+    u_nodes = enc.unique_singleton_nodes
+    counts = enc.unique_counts
+    unique_result = np.empty_like(u_nodes)
+    for a in range(enc.num_unique):
+        union = enc.join_rows(u_nodes, u_nodes[a])
+        pair_cost = np.asarray(model.record_cost(union), dtype=np.float64)
+        order = np.argsort(pair_cost, kind="stable")
+        closure = u_nodes[a].copy()
+        need = k - 1 - min(int(counts[a]) - 1, k - 1)  # duplicates are free
+        for b in order:
+            if need <= 0:
+                break
+            if b == a:
+                continue
+            closure = enc.join_rows(closure, u_nodes[b])
+            need -= min(int(counts[b]), need)
+        unique_result[a] = closure
+    return unique_result[enc.unique_inverse]
+
+
+def reference_k1_expansion(model: CostModel, k: int) -> np.ndarray:
+    """Algorithm 4, one anchor and one grow step at a time."""
+    _check_k(model, k)
+    enc = model.enc
+    if k <= 1:
+        return enc.singleton_nodes.copy()
+    u_nodes = enc.unique_singleton_nodes
+    counts = enc.unique_counts
+    unique_result = np.empty_like(u_nodes)
+    for a in range(enc.num_unique):
+        remaining = counts.copy()
+        remaining[a] -= 1
+        cur = u_nodes[a].copy()
+        cur_cost = float(model.record_cost(cur))
+        for _ in range(k - 1):
+            union = enc.join_rows(u_nodes, cur)
+            cost_union = np.asarray(model.record_cost(union), dtype=np.float64)
+            delta = cost_union - cur_cost
+            delta[remaining <= 0] = np.inf
+            b = int(delta.argmin())
+            cur = union[b]
+            cur_cost = float(cost_union[b])
+            remaining[b] -= 1
+        unique_result[a] = cur
+    return unique_result[enc.unique_inverse]
+
+
+def _check_generalizes(enc: EncodedTable, nodes: np.ndarray) -> None:
+    for i in range(enc.num_records):
+        if not bool(enc.consistency_mask(i, nodes[i])):
+            raise AnonymityError(
+                f"generalized record {i} does not generalize original record {i}"
+            )
+
+
+def reference_one_k(
+    model: CostModel,
+    node_matrix: np.ndarray,
+    k: int,
+    join_with: str = "generalized",
+) -> np.ndarray:
+    """Algorithm 5, one record at a time, costs recomputed from scratch."""
+    enc = model.enc
+    n = enc.num_records
+    if k > n:
+        raise AnonymityError(f"k={k} exceeds the number of records n={n}")
+    nodes = np.array(node_matrix, dtype=np.int32, copy=True)
+    _check_generalizes(enc, nodes)
+    for i in range(n):
+        consistent = enc.consistency_mask(i, nodes)
+        ell = int(consistent.sum())
+        if ell >= k:
+            continue
+        candidates = np.flatnonzero(~consistent)
+        anchor = nodes[i] if join_with == "generalized" else enc.singleton_nodes[i]
+        union = enc.join_rows(nodes[candidates], anchor)
+        cost_new = np.asarray(model.record_cost(union), dtype=np.float64)
+        cost_old = np.asarray(
+            model.record_cost(nodes[candidates]), dtype=np.float64
+        )
+        order = np.argsort(cost_new - cost_old, kind="stable")[: k - ell]
+        nodes[candidates[order]] = union[order]
+    return nodes
+
+
+def reference_adjacency(
+    enc: EncodedTable, node_matrix: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The consistency graph, one record at a time: per original record
+    its sorted consistent generalized records, and the right degrees."""
+    node_matrix = np.asarray(node_matrix)
+    n = enc.num_records
+    adjacency = [
+        np.flatnonzero(enc.consistency_mask(i, node_matrix)) for i in range(n)
+    ]
+    right = np.zeros(n, dtype=np.int64)
+    for neighbours in adjacency:
+        right[neighbours] += 1
+    return adjacency, right
+
+
+def reference_global_one_k(
+    model: CostModel,
+    node_matrix: np.ndarray,
+    k: int,
+    max_passes: int | None = None,
+) -> np.ndarray:
+    """Algorithm 6: per pass, allowed edges of the reference graph, then
+    one materialized fix per deficient record."""
+    enc = model.enc
+    n = enc.num_records
+    nodes = np.array(node_matrix, dtype=np.int32, copy=True)
+    _check_generalizes(enc, nodes)
+    if max_passes is None:
+        max_passes = k + 1
+    passes = 0
+    while True:
+        adjacency, _ = reference_adjacency(enc, nodes)
+        lists = [a.tolist() for a in adjacency]
+        if min(len(a) for a in lists) < k:
+            raise AnonymityError("input is not a (1,k)-anonymization")
+        allowed = allowed_edges(lists, n)
+        deficient = [i for i in range(n) if len(allowed[i]) < k]
+        if not deficient:
+            return nodes
+        if passes == max_passes:
+            raise AnonymityError(
+                f"Algorithm 6 did not converge within {max_passes} passes"
+            )
+        passes += 1
+        for i in deficient:
+            cand = [j for j in lists[i] if j not in allowed[i]]
+            union = enc.join_rows(enc.singleton_nodes[cand], nodes[i])
+            cost_new = np.asarray(model.record_cost(union), dtype=np.float64)
+            nodes[i] = union[int(cost_new.argmin())]

@@ -363,7 +363,6 @@ class ExperimentRunner:
                 k,
                 expander=expander,
                 join_with=join_with,
-                backend=self.config.backend,
             )
             return model.table_cost(nodes), {}
 
@@ -379,9 +378,7 @@ class ExperimentRunner:
 
         def go():
             model = self.model(dataset, measure)
-            kk_nodes = kk_anonymize(
-                model, k, expander=expander, backend=self.config.backend
-            )
+            kk_nodes = kk_anonymize(model, k, expander=expander)
             kk_cost = model.table_cost(kk_nodes)
             nodes, stats = global_one_k_anonymize(model, kk_nodes, k)
             return model.table_cost(nodes), {

@@ -12,7 +12,8 @@ records on the right, and an edge wherever the two are consistent
 
 Construction is vectorized: identical original rows have identical
 neighbourhoods, so consistency is evaluated once per unique row against
-all generalized records via the precomputed ancestor tables.
+all generalized records, a block of unique rows at a time
+(:meth:`~repro.tabular.encoding.EncodedTable.consistency_blocks`).
 """
 
 from __future__ import annotations
@@ -47,21 +48,19 @@ class ConsistencyGraph:
         self.enc = enc
         self.node_matrix = node_matrix
 
-        # One consistency sweep per unique original row.
+        # One consistency sweep per block of unique original rows.
         unique_neighbours: list[NDArray[np.intp]] = []
-        for row in enc.unique_codes:
-            checkpoint("matching.bipartite.row")
-            mask = enc.consistency_mask_for_codes(row, node_matrix)
-            unique_neighbours.append(np.flatnonzero(mask))
+        for block in enc.consistency_blocks(enc.value_masks(node_matrix)):
+            for row in block:
+                checkpoint("matching.bipartite.row")
+                unique_neighbours.append(np.flatnonzero(row))
         self.adjacency: list[NDArray[np.intp]] = [
-            unique_neighbours[enc.unique_inverse[i]] for i in range(n)
+            unique_neighbours[g] for g in enc.unique_inverse.tolist()
         ]
 
         # Right-side degrees: count over all left vertices.
-        counts = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            counts[self.adjacency[i]] += 1
-        self._reverse_degrees = counts
+        edges = np.concatenate(self.adjacency) if n else np.empty(0, np.intp)
+        self._reverse_degrees = np.bincount(edges, minlength=n).astype(np.int64)
 
     @property
     def num_records(self) -> int:

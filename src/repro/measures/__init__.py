@@ -10,11 +10,14 @@
 
 A :class:`CostModel` binds a node-decomposable measure to an encoded
 table; it is the object all core algorithms consume.
+:class:`FusedJoinCost` prices candidate unions ``c(join(row, anchor))``
+for many rows at once without materializing the join.
 """
 
 from repro.measures.base import (
     ClusteringMeasure,
     CostModel,
+    FusedJoinCost,
     LossMeasure,
     RecordLossMeasure,
     evaluate_record_measure,
@@ -32,6 +35,7 @@ __all__ = [
     "RecordLossMeasure",
     "ClusteringMeasure",
     "CostModel",
+    "FusedJoinCost",
     "evaluate_record_measure",
     "EntropyMeasure",
     "NonUniformEntropyMeasure",

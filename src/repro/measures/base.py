@@ -21,7 +21,7 @@ and CM [11]).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -221,6 +221,133 @@ class CostModel:
                 f"clustering covers {covered} records, table has {n}"
             )
         return total / n
+
+
+class FusedJoinCost:
+    """The join→cost kernel: ``c(join(row, anchor))`` for many rows at once.
+
+    Attribute j contributes ``node_costs_j[join_j[row_j, anchor_j]]``.
+    For one anchor node c that is a lookup in the short vector
+    ``node_costs_j[join_j[:, c]]`` (one entry per node of attribute j),
+    so pricing m candidate unions costs one gather of m per attribute
+    and no materialized union matrix.  Rows come *attribute-major*
+    (``rows_t[j]`` holds attribute j's node of every row).
+
+    Every cost is bit-identical to
+    ``model.record_cost(enc.join_rows(row, anchor))``:
+
+    * the join is looked up as ``join[row, anchor]``, the orientation
+      of ``join_rows(rows, anchor)``;
+    * attribute terms are summed left to right, then divided once by
+      ``r`` — the float operations of ``record_cost``, in the same
+      order (a vectorized ``sum`` would reassociate them).
+
+    ``record_cost`` starts its sum from ``0.0``, which turns a ``-0.0``
+    first term into ``+0.0``.  The kernel keeps its own copy of the node
+    costs with ``0.0`` added once, so it can start from the first term
+    itself and still produce the same bits.
+    """
+
+    __slots__ = ("_costs", "_joins", "_r")
+
+    def __init__(self, model: CostModel) -> None:
+        self._costs = tuple(vec + 0.0 for vec in model.node_costs)
+        self._joins = tuple(att.join for att in model.enc.attrs)
+        self._r = len(self._joins)
+
+    def term(
+        self, j: int, rows_j: np.ndarray, anchors_j: np.ndarray | int
+    ) -> np.ndarray:
+        """Attribute j's cost term ``node_costs_j[join_j[row, anchor]]``
+        of every row against every anchor node: ``[m]`` for one anchor,
+        ``[B, m]`` for ``B`` anchors."""
+        column = self._costs[j][self._joins[j].T[anchors_j]]
+        return np.take(column, rows_j, axis=-1)
+
+    def _sum(self, terms: Iterator[np.ndarray]) -> np.ndarray:
+        """Record costs from the r per-attribute terms, in attribute
+        order.  The terms must be fresh arrays: the first is summed
+        into in place."""
+        total = next(terms)
+        for term in terms:
+            total += term
+        total /= self._r
+        return total
+
+    def costs(self, rows_t: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+        """Union costs of every row against one anchor or a block.
+
+        ``rows_t`` is ``[r, m]`` (attribute-major).  An anchor ``[r]``
+        gives ``[m]`` costs; a block of anchors ``[B, r]`` gives
+        ``[B, m]``, one row per anchor.
+        """
+        anchors = np.asarray(anchors)
+        return self._sum(
+            self.term(j, rows_t[j], anchors[..., j]) for j in range(self._r)
+        )
+
+    def pair_costs(self, nodes_a: np.ndarray, node_b: np.ndarray) -> np.ndarray:
+        """Union costs of every row of record-major ``nodes_a`` ``[m, r]``
+        with one anchor ``node_b``."""
+        return self.costs(np.asarray(nodes_a).T, node_b)
+
+
+class FixedRowJoinCost:
+    """:meth:`FusedJoinCost.costs` of one fixed row set, against many
+    blocks of anchors: a memo in front of the kernel, not a second one.
+
+    Attribute j's terms for anchor node c against all m rows depend
+    only on (j, c), so each such row of terms is computed by
+    :meth:`FusedJoinCost.term` the first time an anchor needs it and
+    kept.  Memory is O(distinct anchor nodes seen × m) per attribute;
+    no ``num_nodes × m`` block is built up front.  Costs are the
+    kernel's, bit for bit.
+    """
+
+    __slots__ = ("_fused", "_rows_t", "_slot", "_terms", "_used")
+
+    def __init__(self, fused: FusedJoinCost, rows: np.ndarray) -> None:
+        rows = np.asarray(rows)
+        self._fused = fused
+        self._rows_t = np.ascontiguousarray(rows.T)
+        self._slot = [
+            np.full(len(join), -1, dtype=np.int64) for join in fused._joins
+        ]
+        self._terms = [
+            np.empty((4, rows.shape[0]), dtype=np.float64) for _ in fused._joins
+        ]
+        self._used = [0] * len(fused._joins)
+
+    def _slots(self, j: int, nodes: np.ndarray) -> np.ndarray:
+        """Rows of ``self._terms[j]`` holding each anchor node's terms."""
+        slot = self._slot[j]
+        found = slot[nodes]
+        if found.min() >= 0:
+            return found
+        missing = np.unique(nodes[found < 0])
+        used = self._used[j]
+        terms = self._terms[j]
+        if used + missing.size > terms.shape[0]:
+            grown = np.empty(
+                (max(2 * terms.shape[0], used + missing.size), terms.shape[1]),
+                dtype=np.float64,
+            )
+            grown[:used] = terms[:used]
+            self._terms[j] = terms = grown
+        terms[used : used + missing.size] = self._fused.term(
+            j, self._rows_t[j], missing
+        )
+        slot[missing] = np.arange(used, used + missing.size)
+        self._used[j] = used + missing.size
+        return slot[nodes]
+
+    def costs(self, anchors: np.ndarray) -> np.ndarray:
+        """``[B, m]``: the union cost of every row with each anchor of
+        the ``[B, r]`` block."""
+        slots = [self._slots(j, anchors[:, j]) for j in range(len(self._terms))]
+        return self._fused._sum(
+            terms[slot] for terms, slot in zip(self._terms, slots)
+        )
 
 
 def evaluate_record_measure(

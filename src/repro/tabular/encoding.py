@@ -19,7 +19,7 @@ can work on ``u ≤ n`` unique rows with multiplicities.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,6 +28,10 @@ from repro.obs import count
 from repro.tabular.hierarchy import SubsetCollection
 from repro.tabular.record import GeneralizedRecord
 from repro.tabular.table import GeneralizedTable, Table
+
+#: Cells per :meth:`EncodedTable.consistency_blocks` block: a block of
+#: unique rows × generalized records stays near this many bytes.
+_BLOCK_CELLS = 1 << 18
 
 
 class EncodedAttribute:
@@ -327,6 +331,50 @@ class EncodedTable:
         for j, att in enumerate(self.attrs):
             mask &= att.anc[codes[j], gen_nodes[..., j]]
         return mask
+
+    def value_masks(self, node_matrix: np.ndarray) -> list[np.ndarray]:
+        """Per attribute j, ``anc_j[:, node_matrix[:, j]]``: a
+        ``bool[m_j, g]`` mask whose row ``v`` marks the generalized
+        records (rows of ``node_matrix``) whose node contains value v.
+
+        Record codes ``c`` are consistent with exactly the generalized
+        records where every ``masks[j][c[j]]`` holds, so one row lookup
+        per attribute replaces a gather over all generalized records.
+        """
+        node_matrix = np.asarray(node_matrix)
+        # take(axis=1) keeps each value's row contiguous; ``anc[:, idx]``
+        # would lay the result out column-major.
+        return [
+            np.take(att.anc, node_matrix[:, j], axis=1)
+            for j, att in enumerate(self.attrs)
+        ]
+
+    def consistency_blocks(self, masks: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+        """Consistency of every unique row, a block of rows at a time.
+
+        ``masks`` are the :meth:`value_masks` of g generalized records.
+        Yields ``bool[B, g]`` blocks over consecutive unique rows, about
+        2^18 cells each; row b of a block marks the generalized records
+        that unique row ``start + b`` is consistent with.  Each block
+        costs one row lookup and one AND per attribute.
+        """
+        step = max(1, _BLOCK_CELLS // max(masks[0].shape[1], 1))
+        codes = self.unique_codes
+        for start in range(0, self.num_unique, step):
+            block = codes[start : start + step]
+            mask = masks[0][block[:, 0]]
+            for j in range(1, len(masks)):
+                mask &= masks[j][block[:, j]]
+            yield mask
+
+    def generalizes_rows(self, node_matrix: np.ndarray) -> np.ndarray:
+        """``bool[n]``: whether generalized record i (row i of
+        ``node_matrix``) is consistent with original record i."""
+        node_matrix = np.asarray(node_matrix)
+        ok = np.ones(self.num_records, dtype=bool)
+        for j, att in enumerate(self.attrs):
+            ok &= att.anc[self.codes[:, j], node_matrix[:, j]]
+        return ok
 
     # ------------------------------------------------------------------ #
     # decoding

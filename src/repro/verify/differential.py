@@ -14,6 +14,9 @@ executes all of them on one fuzz instance and demands:
   :mod:`repro.core.reference` transcription exactly on tie-free runs
   (invariant-only checks otherwise — either tie choice is a correct
   Algorithm 1 execution);
+* Algorithms 3–6 reproduce their literal transcriptions byte for byte,
+  ties included, and the consistency graph of the (k,k) output matches
+  the per-record reference adjacency and right degrees;
 * the matching oracles agree on the output's consistency graph
   (Hopcroft–Karp vs brute force, SCC allowed edges vs the paper's
   naive per-edge test);
@@ -45,12 +48,20 @@ from repro.core.kk import kk_anonymize
 from repro.core.kmember import kmember_clustering
 from repro.core.mondrian import mondrian_clustering
 from repro.core.one_k import one_k_anonymize
-from repro.core.reference import reference_agglomerative
+from repro.core.reference import (
+    reference_adjacency,
+    reference_agglomerative,
+    reference_global_one_k,
+    reference_k1_expansion,
+    reference_k1_nearest,
+    reference_one_k,
+)
 from repro.core.scalable import blocked_agglomerative
 from repro.errors import ReproError
 from repro.matching.bipartite import ConsistencyGraph
 from repro.measures.base import CostModel
 from repro.measures.registry import get_measure
+from repro.tabular.encoding import EncodedTable
 from repro.verify.generators import Instance, InstanceConfig
 from repro.verify.invariants import (
     Violation,
@@ -138,35 +149,54 @@ def _run_datafly(model: CostModel, cfg: InstanceConfig) -> AlgorithmOutput:
 
 
 def _run_k1_nearest(model: CostModel, cfg: InstanceConfig) -> AlgorithmOutput:
-    return AlgorithmOutput(
-        nodes=k1_nearest_neighbors(model, cfg.k, backend=cfg.backend)
-    )
+    return AlgorithmOutput(nodes=k1_nearest_neighbors(model, cfg.k))
 
 
 def _run_k1_expansion(model: CostModel, cfg: InstanceConfig) -> AlgorithmOutput:
-    return AlgorithmOutput(nodes=k1_expansion(model, cfg.k, backend=cfg.backend))
+    return AlgorithmOutput(nodes=k1_expansion(model, cfg.k))
 
 
 def _run_one_k(model: CostModel, cfg: InstanceConfig) -> AlgorithmOutput:
     return AlgorithmOutput(
-        nodes=one_k_anonymize(
-            model, model.enc.singleton_nodes, cfg.k, backend=cfg.backend
-        )
+        nodes=one_k_anonymize(model, model.enc.singleton_nodes, cfg.k)
     )
 
 
 def _run_kk(model: CostModel, cfg: InstanceConfig) -> AlgorithmOutput:
     return AlgorithmOutput(
-        nodes=kk_anonymize(
-            model, cfg.k, expander=cfg.expander, backend=cfg.backend
-        )
+        nodes=kk_anonymize(model, cfg.k, expander=cfg.expander)
     )
 
 
 def _run_global(model: CostModel, cfg: InstanceConfig) -> AlgorithmOutput:
-    base = kk_anonymize(model, cfg.k, expander=cfg.expander, backend=cfg.backend)
+    base = kk_anonymize(model, cfg.k, expander=cfg.expander)
     nodes, _ = global_one_k_anonymize(model, base, cfg.k)
     return AlgorithmOutput(nodes=nodes)
+
+
+def _ref_k1_nearest(model: CostModel, cfg: InstanceConfig) -> np.ndarray:
+    return reference_k1_nearest(model, cfg.k)
+
+
+def _ref_k1_expansion(model: CostModel, cfg: InstanceConfig) -> np.ndarray:
+    return reference_k1_expansion(model, cfg.k)
+
+
+def _ref_one_k(model: CostModel, cfg: InstanceConfig) -> np.ndarray:
+    return reference_one_k(model, model.enc.singleton_nodes, cfg.k)
+
+
+def _ref_kk(model: CostModel, cfg: InstanceConfig) -> np.ndarray:
+    expand = (
+        reference_k1_expansion
+        if cfg.expander == "expansion"
+        else reference_k1_nearest
+    )
+    return reference_one_k(model, expand(model, cfg.k), cfg.k)
+
+
+def _ref_global(model: CostModel, cfg: InstanceConfig) -> np.ndarray:
+    return reference_global_one_k(model, _ref_kk(model, cfg), cfg.k)
 
 
 #: Every registered algorithm, in execution order.
@@ -177,12 +207,23 @@ REGISTRY: tuple[AlgorithmSpec, ...] = (
     AlgorithmSpec("kmember", "k", _run_kmember),
     AlgorithmSpec("blocked", "k", _run_blocked, backend_aware=True),
     AlgorithmSpec("datafly", "k", _run_datafly, requires_laminar=True),
-    AlgorithmSpec("k1-nearest", "k1", _run_k1_nearest, backend_aware=True),
-    AlgorithmSpec("k1-expansion", "k1", _run_k1_expansion, backend_aware=True),
-    AlgorithmSpec("alg5-1k", "1k", _run_one_k, backend_aware=True),
-    AlgorithmSpec("kk", "kk", _run_kk, backend_aware=True),
-    AlgorithmSpec("global-1k", "global-1k", _run_global, backend_aware=True),
+    AlgorithmSpec("k1-nearest", "k1", _run_k1_nearest),
+    AlgorithmSpec("k1-expansion", "k1", _run_k1_expansion),
+    AlgorithmSpec("alg5-1k", "1k", _run_one_k),
+    AlgorithmSpec("kk", "kk", _run_kk),
+    AlgorithmSpec("global-1k", "global-1k", _run_global),
 )
+
+#: Literal :mod:`repro.core.reference` transcriptions that registered
+#: algorithms must reproduce byte for byte, by registry name.  Kept
+#: apart from :data:`REGISTRY`: they are oracles, not algorithms.
+_REFERENCES: dict[str, Callable[[CostModel, InstanceConfig], np.ndarray]] = {
+    "k1-nearest": _ref_k1_nearest,
+    "k1-expansion": _ref_k1_expansion,
+    "alg5-1k": _ref_one_k,
+    "kk": _ref_kk,
+    "global-1k": _ref_global,
+}
 
 
 def algorithm_names() -> list[str]:
@@ -346,6 +387,56 @@ def _check_backend_agreement(
     return []
 
 
+def _check_reference(
+    spec: AlgorithmSpec,
+    model: CostModel,
+    cfg: InstanceConfig,
+    produced: AlgorithmOutput,
+) -> list[Violation]:
+    """Demand ``spec``'s node matrix equal its literal transcription."""
+    label = f"{spec.name} (k={cfg.k}, measure={cfg.measure}, expander={cfg.expander})"
+    try:
+        expected = _REFERENCES[spec.name](model, cfg)
+    except ReproError as exc:
+        return [
+            Violation(
+                f"differential.{spec.name}",
+                f"{label}: production succeeded but the reference raised "
+                f"{type(exc).__name__}: {exc}",
+            )
+        ]
+    nodes = produced.nodes
+    if nodes.dtype != expected.dtype or not np.array_equal(nodes, expected):
+        diff = int((nodes != expected).any(axis=1).sum())
+        return [
+            Violation(
+                f"differential.{spec.name}",
+                f"{label}: production and reference disagree on "
+                f"{diff} record(s)",
+            )
+        ]
+    return []
+
+
+def _check_graph_reference(
+    enc: EncodedTable, graph: ConsistencyGraph
+) -> list[Violation]:
+    """The vectorized consistency graph vs the per-record reference."""
+    adjacency, right = reference_adjacency(enc, graph.node_matrix)
+    same = len(adjacency) == len(graph.adjacency) and all(
+        a.tobytes() == b.tobytes() for a, b in zip(adjacency, graph.adjacency)
+    )
+    if same and right.tobytes() == graph.right_degrees().tobytes():
+        return []
+    return [
+        Violation(
+            "differential.consistency-graph",
+            "ConsistencyGraph adjacency or right degrees differ from the "
+            "per-record reference",
+        )
+    ]
+
+
 def differential_check(
     instance: Instance, include_matching: bool = True
 ) -> list[Violation]:
@@ -353,7 +444,8 @@ def differential_check(
 
     Backend-aware algorithms additionally run under the other execution
     backend and must reproduce the primary backend's node matrix bit for
-    bit (``backend.divergence`` otherwise).
+    bit (``backend.divergence`` otherwise); algorithms with a literal
+    reference must reproduce it (``differential.<name>`` otherwise).
 
     Returns all invariant violations found; an empty list means the
     instance passed the full differential battery.
@@ -388,6 +480,8 @@ def differential_check(
             continue
         if spec.backend_aware:
             out.extend(_check_backend_agreement(spec, model, cfg, produced))
+        if spec.name in _REFERENCES:
+            out.extend(_check_reference(spec, model, cfg, produced))
         out.extend(
             check_generalization(
                 enc, produced.nodes, spec.notion, cfg.k, label=spec.name
@@ -407,8 +501,10 @@ def differential_check(
             kk_nodes = produced.nodes
 
     out.extend(compare_with_reference(model, cfg))
-    if include_matching and kk_nodes is not None:
+    if kk_nodes is not None:
         graph = ConsistencyGraph(enc, kk_nodes)
+        out.extend(_check_graph_reference(enc, graph))
+    if include_matching and kk_nodes is not None:
         out.extend(
             check_matching_oracles(
                 graph.adjacency_lists(), enc.num_records, label="kk-graph"

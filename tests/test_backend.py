@@ -34,11 +34,7 @@ from repro.core.backend import (
     columnar_available,
     resolve_backend,
 )
-from repro.core.columnar import (
-    FusedJoinCost,
-    _ColumnarEngine,
-    union_cost_lower_bound,
-)
+from repro.core.columnar import _ColumnarEngine, union_cost_lower_bound
 from repro.core.distances import distance_names, get_distance
 from repro.errors import ReproError
 from repro.measures.base import CostModel
@@ -344,35 +340,3 @@ class TestBackendDifferential:
             lambda model, ca, cb: np.maximum(ca, cb) + 0.5,
         )
         assert _clusters(model, 3, backend="columnar") != ref
-
-
-# --------------------------------------------------------------------- #
-# fused kernels
-# --------------------------------------------------------------------- #
-
-
-class TestFusedJoinCost:
-    @pytest.mark.parametrize("measure", measure_names())
-    def test_bit_identical_to_record_cost(self, measure):
-        table = make_random_table(25, seed=7, domain_sizes=(5, 3, 2))
-        model = _model(table, measure)
-        enc = model.enc
-        fused = FusedJoinCost(model)
-        rng = np.random.default_rng(1)
-        nodes = enc.singleton_nodes
-        for _ in range(20):
-            rows = nodes[rng.integers(0, enc.num_records, size=9)]
-            b = nodes[int(rng.integers(0, enc.num_records))]
-            expect = np.asarray(model.record_cost(enc.join_rows(rows, b)))
-            got = fused.pair_costs(rows, b)
-            assert got.tobytes() == expect.astype(np.float64).tobytes()
-
-    def test_empty_batch(self):
-        table = make_random_table(6, seed=0)
-        model = _model(table, "lm")
-        fused = FusedJoinCost(model)
-        out = fused.pair_costs(
-            np.zeros((0, model.enc.num_attributes), dtype=np.int32),
-            model.enc.singleton_nodes[0],
-        )
-        assert out.shape == (0,)

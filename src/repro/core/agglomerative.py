@@ -10,8 +10,24 @@ singletons.
 
 The paper's O(n²) bound is achieved by maintaining a full pairwise
 distance matrix plus per-row minima: each merge recomputes one row of
-distances (vectorized via the per-attribute join/cost tables) and rescans
-only the rows whose cached nearest neighbour was invalidated.
+distances and rescans only the rows whose cached nearest neighbour was
+invalidated.  Every candidate union is priced by the fused join→cost
+kernel :class:`repro.measures.base.FusedJoinCost`, whose costs are
+bit-identical to ``record_cost`` of the materialized join:
+
+* the all-pairs init fills the matrix in blocks of rows of about
+  ``_BLOCK_CELLS`` cells, one kernel call and one checkpoint per block,
+  so beyond the n² matrix itself only one block's temporaries live;
+* each merge prices its refresh row against the active slots only;
+* under exact joins (laminar and interval collections) a merged
+  cluster's closure is the join of its two parts' closures, one table
+  lookup per attribute instead of a closure of every member.
+
+Join tables are symmetric, distances are element-wise, and every
+minimum is read at the first-index ``argmin``, so the matrix, the
+cached row minima and hence the merge sequence are the same floats and
+tie-breaks as a one-shot n×n broadcast with per-member closures, the
+oracle ``tests/test_agglomerative_engine.py`` keeps.
 """
 
 from __future__ import annotations
@@ -22,9 +38,13 @@ from repro.core.backend import resolve_backend
 from repro.core.clustering import Clustering
 from repro.core.distances import ClusterDistance
 from repro.errors import AnonymityError
-from repro.measures.base import CostModel
+from repro.measures.base import CostModel, FusedJoinCost
 from repro.obs import count
 from repro.runtime import checkpoint
+
+#: Distance-matrix cells filled per block of the all-pairs init: a
+#: block's temporaries stay near this many doubles whatever n is.
+_BLOCK_CELLS = 1 << 18
 
 
 class _Engine:
@@ -46,7 +66,8 @@ class _Engine:
     def _init_slots(
         self, model: CostModel, distance: ClusterDistance, k: int
     ) -> None:
-        """Allocate the per-slot cluster state shared by all backends.
+        """Allocate the per-slot cluster state shared by all backends,
+        and the fused join→cost kernel every candidate is priced with.
 
         Split from ``__init__`` so benchmarks (and the columnar
         subclass) can build an engine at an arbitrary prepared state
@@ -58,6 +79,7 @@ class _Engine:
         self.model = model
         self.distance = distance
         self.k = k
+        self._fused = FusedJoinCost(model)
 
         # Slot arrays.  At most n clusters are ever alive at once, so n
         # slots suffice; slots freed by merges are recycled for the
@@ -88,42 +110,49 @@ class _Engine:
     # ------------------------------------------------------------------ #
 
     def _init_distances(self) -> None:
-        """All-pairs singleton distances, one broadcast per attribute."""
-        enc, model = self.enc, self.model
-        n = enc.num_records
-        cost_union = np.zeros((n, n), dtype=np.float64)
-        col = self.nodes
-        # repro: allow[REP011] one-time O(u^2) matrix fill, straight after the core.agglomerative.init checkpoint
-        for j, att in enumerate(enc.attrs):
-            joined = att.join[col[:, None, j], col[None, :, j]]
-            cost_union += model.node_costs[j][joined]
-        cost_union /= enc.num_attributes
-        dist = self.distance.evaluate(
-            self.sizes[:, None],
-            self.costs[:, None],
-            self.sizes[None, :],
-            self.costs[None, :],
-            cost_union,
-        )
-        dist = np.asarray(dist, dtype=np.float64)
-        np.fill_diagonal(dist, np.inf)
-        self.matrix = dist
-        self.row_min = dist.min(axis=1)
-        self.row_arg = dist.argmin(axis=1)
+        """All-pairs distances, filled in blocks of rows.
+
+        A block of rows is priced against every slot by one
+        :meth:`~repro.measures.base.FusedJoinCost.costs` call, which
+        reads ``join[col, row]``; join tables are symmetric, so that is
+        the ``join[row, col]`` of a one-shot broadcast.  Distances are
+        element-wise, so evaluating them on the block's slices of
+        ``sizes``/``costs`` gives the same floats, and each row's
+        minimum and first-index argmin only depend on that row.
+        """
+        n = self.enc.num_records
+        nodes_t = np.ascontiguousarray(self.nodes.T)
+        self.matrix = np.empty((n, n), dtype=np.float64)
+        step = max(1, _BLOCK_CELLS // n)
+        for a in range(0, n, step):
+            checkpoint("core.agglomerative.init")
+            b = min(a + step, n)
+            cost_union = self._fused.costs(nodes_t, self.nodes[a:b])
+            dist = np.asarray(
+                self.distance.evaluate(
+                    self.sizes[a:b, None],
+                    self.costs[a:b, None],
+                    self.sizes[None, :],
+                    self.costs[None, :],
+                    cost_union,
+                ),
+                dtype=np.float64,
+            )
+            rows = np.arange(b - a)
+            dist[rows, a + rows] = np.inf
+            self.matrix[a:b] = dist
+            arg = dist.argmin(axis=1)
+            self.row_arg[a:b] = arg
+            self.row_min[a:b] = dist[rows, arg]
 
     def _distances_from(self, x: int) -> np.ndarray:
         """Distance of cluster x to every slot (inf for inactive / self).
 
-        Joins and costs are evaluated for the *active* slots only: late
-        in a run most slots are retired, so the dense per-slot sweep of
-        :meth:`_distances_from_dense` wastes most of its work.  Both
-        produce bit-identical rows (same element-wise operations on the
-        same values); the dense form is kept as the benchmark reference.
+        Unions are priced for the *active* slots only: late in a run
+        most slots are retired.
         """
-        enc, model = self.enc, self.model
         act = np.flatnonzero(self.active)
-        union = enc.join_rows(self.nodes[act], self.nodes[x])
-        cost_union = model.record_cost(union)
+        cost_union = self._fused.pair_costs(self.nodes[act], self.nodes[x])
         d = self.distance.evaluate(
             self.sizes[x],
             self.costs[x],
@@ -136,27 +165,14 @@ class _Engine:
         dist[x] = np.inf
         return dist
 
-    def _distances_from_dense(self, x: int) -> np.ndarray:
-        """Dense (all-slot) form of :meth:`_distances_from` — reference
-        implementation for the ``agglomerative-distances`` benchmark pair."""
-        enc, model = self.enc, self.model
-        union = enc.join_rows(self.nodes, self.nodes[x])
-        cost_union = model.record_cost(union)
-        dist = self.distance.evaluate(
-            self.sizes[x], self.costs[x], self.sizes, self.costs, cost_union
-        )
-        dist = np.asarray(dist, dtype=np.float64).copy()
-        dist[~self.active] = np.inf
-        dist[x] = np.inf
-        return dist
-
     def _refresh_row(self, x: int) -> None:
         """Recompute row/column x of the matrix and repair row minima."""
         dist = self._distances_from(x)
         self.matrix[x, :] = dist
         self.matrix[:, x] = dist
-        self.row_min[x] = dist.min()
-        self.row_arg[x] = int(dist.argmin())
+        arg = int(dist.argmin())
+        self.row_arg[x] = arg
+        self.row_min[x] = dist[arg]
         # Other rows may now have a closer neighbour at x.
         better = dist < self.row_min
         better[x] = False
@@ -173,8 +189,9 @@ class _Engine:
     def _rescan_row(self, x: int) -> None:
         """Recompute row x's cached minimum from the matrix."""
         row = self.matrix[x]
-        self.row_min[x] = row.min()
-        self.row_arg[x] = int(row.argmin())
+        arg = int(row.argmin())
+        self.row_arg[x] = arg
+        self.row_min[x] = row[arg]
 
     def _pair_value(self, x: int, y: int) -> float:
         """The currently-recorded distance of the pair ``(x, y)`` — the
@@ -194,7 +211,7 @@ class _Engine:
         # repro: allow[REP011] lazy-deletion heap pops between core.agglomerative.merge checkpoints, bounded by heap size
         while True:
             self.stat_scanned += 1
-            x = int(np.argmin(self.row_min))
+            x = int(self.row_min.argmin())
             best = self.row_min[x]
             if not np.isfinite(best):
                 return None
@@ -323,7 +340,7 @@ class _Engine:
                     self._add_singleton(record)
             else:
                 self.members[x] = merged
-                self.nodes[x] = self.enc.closure_of_records(merged)
+                self.nodes[x] = self._merged_closure(x, y, merged)
                 self.sizes[x] = len(merged)
                 self.costs[x] = float(self.model.record_cost(self.nodes[x]))
                 self._refresh_row(x)
@@ -337,6 +354,18 @@ class _Engine:
             self._distribute_leftover(leftover)
         self._flush_stats()
         return Clustering(self.enc.num_records, self.output)
+
+    def _merged_closure(self, x: int, y: int, merged: list[int]) -> np.ndarray:
+        """Closure of the union of clusters x and y, whose members are
+        ``merged``.
+
+        Under exact joins the closure of a union is the join of the
+        parts' closures: one table lookup per attribute.  Otherwise a
+        join can over-generalize, so ``merged`` is closed afresh.
+        """
+        if self.enc.exact_joins:
+            return self.enc.join_rows(self.nodes[x], self.nodes[y])
+        return self.enc.closure_of_records(merged)
 
     def _flush_stats(self) -> None:
         """Publish the run's work tallies to any active metrics scope.
@@ -375,14 +404,13 @@ class _Engine:
         # repro: allow[REP011] single post-merge pass distributing the < k leftover records
         for record in leftover:
             single = enc.singleton_nodes[record]
-            union = enc.join_rows(out_nodes, single)
-            cost_union = np.asarray(model.record_cost(union), dtype=np.float64)
+            cost_union = self._fused.pair_costs(out_nodes, single)
             dist = self.distance.evaluate(
                 1, 0.0, out_sizes, out_costs, cost_union
             )
             target = int(np.asarray(dist).argmin())
             self.output[target].append(record)
-            out_nodes[target] = union[target]
+            out_nodes[target] = enc.join_rows(out_nodes[target], single)
             out_sizes[target] += 1
             out_costs[target] = cost_union[target]
 
@@ -432,9 +460,9 @@ def agglomerative_clustering(
     if k <= 1:
         # Trivial: every record is its own cluster, nothing is generalized.
         return Clustering(n, [[i] for i in range(n)])
-    # The O(n²) all-pairs matrix (resp. the O(u²) bucket fill) is one
-    # vectorized sweep; checkpoint before committing to it so a spent
-    # deadline fails fast.
+    # Checkpoint before allocating the engine so a spent deadline fails
+    # fast; both all-pairs inits also checkpoint once per block (dense)
+    # or per bucket (columnar).
     checkpoint("core.agglomerative.init")
     if resolve_backend(backend) == "columnar":
         from repro.core.columnar import _ColumnarEngine

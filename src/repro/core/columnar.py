@@ -35,7 +35,7 @@ Bit-equivalence argument (the invariants the tests pin):
   d1–d3.  The engine reproduces it with one timestamp per slot: a
   stored pair value is recomputed from the side of the newer stamp
   (ties — both untouched since init — resolve to the row owner, which
-  is the side the init broadcast wrote).
+  is the side the init wrote).
 * **State machine.**  ``row_min``/``row_arg`` pushes (strict
   improvement only), lazy validation and rescans follow the reference
   line for line, so the argmin tie-breaking (lowest slot index wins)
@@ -75,7 +75,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.agglomerative import _Engine
-from repro.measures.base import CostModel, FusedJoinCost
+from repro.measures.base import CostModel
 from repro.obs import count
 from repro.runtime import checkpoint
 
@@ -127,7 +127,6 @@ class _ColumnarEngine(_Engine):
         self.prune_enabled = bool(
             self.model.measure.monotone and self.distance.monotone_in_union
         )
-        self._fused = FusedJoinCost(self.model)
         self._bucket_ids: dict[bytes, int] = {}
         cap = 16
         self._bnodes = np.zeros((cap, r), dtype=np.int32)

@@ -11,6 +11,7 @@ from repro.measures.lm import LMMeasure
 from repro.tabular.attribute import Attribute, integer_attribute
 from repro.tabular.encoding import EncodedTable
 from repro.tabular.hierarchy import (
+    IntervalCollection,
     SubsetCollection,
     from_groups,
     interval_hierarchy,
@@ -80,6 +81,19 @@ def tiny_table() -> Table:
 
     table, _ = proposition_45_example()
     return table
+
+
+def make_interval_table() -> Table:
+    """22 records over an interval-collection age (every contiguous
+    range of 30..36 is a node) and a flat two-value sex attribute."""
+    ages = IntervalCollection(integer_attribute("age", 30, 36))
+    sex = SubsetCollection(Attribute("sex", ["f", "m"]))
+    rng = np.random.default_rng(5)
+    rows = [
+        (str(int(rng.integers(30, 37))), ["f", "m"][int(rng.integers(0, 2))])
+        for _ in range(22)
+    ]
+    return Table(Schema([ages, sex]), rows)
 
 
 def make_random_table(

@@ -3,18 +3,31 @@
 The slot recycling, matrix maintenance and row-minimum caching are the
 engine's riskiest parts; these tests drive the private `_Engine` state
 directly on small inputs where every invariant can be checked against a
-brute-force recomputation.
+brute-force recomputation.  The blocked all-pairs init is checked bit
+for bit against the one-shot n×n broadcast it replaced, the join-folded
+merge closure against ``closure_of_records``, and paper-size outputs
+against SHA-256 pins.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 
+import repro.core.agglomerative as agglomerative_module
 from repro.core.agglomerative import _Engine, agglomerative_clustering
-from repro.core.distances import get_distance
+from repro.core.clustering import clustering_to_nodes
+from repro.core.distances import distance_names, get_distance
+from repro.datasets.registry import load
 from repro.measures.base import CostModel
 from repro.measures.entropy import EntropyMeasure
+from repro.measures.lm import LMMeasure
+from repro.measures.registry import get_measure
+from repro.tabular.attribute import Attribute
 from repro.tabular.encoding import EncodedTable
-from tests.conftest import make_random_table
+from repro.tabular.hierarchy import SubsetCollection
+from repro.tabular.table import Schema, Table
+from tests.conftest import make_interval_table, make_random_table
 
 
 @pytest.fixture
@@ -108,3 +121,184 @@ class TestEngineInternals:
         assert not np.isfinite(engine.matrix[:, 3]).any()
         assert engine.row_min[3] == np.inf
         assert 3 in engine.free_slots
+
+
+# --------------------------------------------------------------------- #
+# blocked all-pairs init
+# --------------------------------------------------------------------- #
+
+
+def _broadcast_init(eng):
+    """The one-shot n×n broadcast init: the oracle for the blocked fill."""
+    enc, model = eng.enc, eng.model
+    n = enc.num_records
+    cost_union = np.zeros((n, n), dtype=np.float64)
+    col = eng.nodes
+    for j, att in enumerate(enc.attrs):
+        joined = att.join[col[:, None, j], col[None, :, j]]
+        cost_union += model.node_costs[j][joined]
+    cost_union /= enc.num_attributes
+    dist = eng.distance.evaluate(
+        eng.sizes[:, None],
+        eng.costs[:, None],
+        eng.sizes[None, :],
+        eng.costs[None, :],
+        cost_union,
+    )
+    dist = np.asarray(dist, dtype=np.float64)
+    np.fill_diagonal(dist, np.inf)
+    return dist, dist.min(axis=1), dist.argmin(axis=1)
+
+
+def _prepared_engine(model, distance, groups):
+    """An engine whose first slot of each group holds the group's
+    closure, size and cost, as after a run of merges."""
+    eng = _Engine.__new__(_Engine)
+    eng._init_slots(model, distance, 4)
+    enc = model.enc
+    for group in groups:
+        slot = group[0]
+        eng.nodes[slot] = enc.closure_of_records(group)
+        eng.sizes[slot] = len(group)
+        eng.costs[slot] = float(model.record_cost(eng.nodes[slot]))
+    return eng
+
+
+class TestBlockedInit:
+    """``_init_distances`` fills the matrix in row blocks; the matrix,
+    ``row_min`` and ``row_arg`` must equal the broadcast's bit for bit,
+    whatever the block size."""
+
+    @pytest.mark.parametrize("rows_per_block", [None, 7, 1])
+    @pytest.mark.parametrize("measure", ["lm", "entropy"])
+    @pytest.mark.parametrize("distance", distance_names())
+    def test_equals_broadcast(self, monkeypatch, distance, measure, rows_per_block):
+        # ART has many duplicate rows, so row minima tie and the
+        # first-index argmin is exercised.
+        enc = EncodedTable(load("art", n=90, seed=2))
+        model = CostModel(enc, get_measure(measure))
+        n = enc.num_records
+        if rows_per_block is not None:
+            monkeypatch.setattr(
+                agglomerative_module, "_BLOCK_CELLS", rows_per_block * n
+            )
+        singletons = [[i] for i in range(n)]
+        prepared = [list(range(a, min(a + 3, n))) for a in range(0, n, 3)]
+        for groups in (singletons, prepared):
+            eng = _prepared_engine(model, get_distance(distance), groups)
+            eng._init_distances()
+            matrix, row_min, row_arg = _broadcast_init(eng)
+            assert eng.matrix.tobytes() == matrix.tobytes()
+            assert eng.row_min.tobytes() == row_min.tobytes()
+            assert np.array_equal(eng.row_arg, row_arg)
+
+    def test_checkpoints_once_per_block(self, monkeypatch):
+        enc = EncodedTable(load("art", n=50, seed=2))
+        model = CostModel(enc, LMMeasure())
+        monkeypatch.setattr(agglomerative_module, "_BLOCK_CELLS", 8 * 50)
+        sites = []
+        monkeypatch.setattr(agglomerative_module, "checkpoint", sites.append)
+        _Engine(model, get_distance("d3"), 5)
+        assert sites == ["core.agglomerative.init"] * 7  # ceil(50 / 8)
+
+
+# --------------------------------------------------------------------- #
+# join-folded merge closures
+# --------------------------------------------------------------------- #
+
+
+def _non_laminar_table() -> Table:
+    """One attribute whose join fold over-generalizes: the closure of
+    {a, b} is {a, b, c}, and {a, b, c} ∪ {d} only fits the full set,
+    while the closure of {a, b, d} is {a, b, d, e}."""
+    letters = Attribute("letter", ["a", "b", "c", "d", "e"])
+    coll = SubsetCollection(letters, [["a", "b", "c"], ["a", "b", "d", "e"]])
+    rows = [(v,) for v in "abdceabd"]
+    return Table(Schema([coll]), rows)
+
+
+class _ClosureCheckedEngine(_Engine):
+    """Checks every refreshed slot's closure against its members."""
+
+    checked = 0
+
+    def _refresh_row(self, x):
+        want = self.enc.closure_of_records(self.members[x])
+        assert self.nodes[x].tobytes() == want.tobytes()
+        self.checked += 1
+        super()._refresh_row(x)
+
+
+class TestMergedClosure:
+    @pytest.mark.parametrize(
+        "table",
+        [
+            lambda: make_random_table(40, seed=3, domain_sizes=(6, 4, 3)),
+            make_interval_table,
+        ],
+        ids=["laminar", "intervals"],
+    )
+    def test_join_fold_equals_closure_of_records(self, table):
+        enc = EncodedTable(table())
+        assert enc.exact_joins
+        model = CostModel(enc, LMMeasure())
+        for modified in (False, True):
+            eng = _ClosureCheckedEngine(model, get_distance("d3"), 6)
+            eng.run(modified)
+            assert eng.checked > enc.num_records // 2
+        rng = np.random.default_rng(0)
+        eng = _Engine(model, get_distance("d3"), 6)
+        for _ in range(50):
+            perm = rng.permutation(enc.num_records)
+            left, right = perm[:3].tolist(), perm[3:7].tolist()
+            eng.nodes[0] = enc.closure_of_records(left)
+            eng.nodes[1] = enc.closure_of_records(right)
+            got = eng._merged_closure(0, 1, left + right)
+            want = enc.closure_of_records(left + right)
+            assert got.tobytes() == want.tobytes()
+
+    def test_non_laminar_takes_closure_of_records(self):
+        enc = EncodedTable(_non_laminar_table())
+        assert not enc.exact_joins
+        model = CostModel(enc, LMMeasure())
+        eng = _Engine(model, get_distance("d3"), 3)
+        left, right = [0, 1], [2]  # {a, b} and {d}
+        eng.nodes[0] = enc.closure_of_records(left)
+        eng.nodes[2] = enc.closure_of_records(right)
+        want = enc.closure_of_records(left + right)
+        folded = enc.join_rows(eng.nodes[0], eng.nodes[2])
+        assert folded.tobytes() != want.tobytes()  # the fold over-generalizes
+        got = eng._merged_closure(0, 2, left + right)
+        assert got.tobytes() == want.tobytes()
+        checked = _ClosureCheckedEngine(model, get_distance("d3"), 3)
+        checked.run(False)
+        assert checked.checked > 0
+
+
+# --------------------------------------------------------------------- #
+# paper-size pins
+# --------------------------------------------------------------------- #
+
+#: SHA-256 of the int32 node matrices of ``agglomerative_clustering``
+#: (d3, k=5, dataset seed 1), computed with the one-shot broadcast init,
+#: per-row ``join_rows`` + ``record_cost`` pricing and per-member merge
+#: closures.
+PINNED = {
+    ("art", 1000, "lm", False): "624b6f52d06a5c21eaa5d63977cc4dfa7ebfb81b5cd3b0af34bd838477d86ea8",
+    ("art", 1000, "entropy", True): "d75bb5b0a29b1a6abd6050a823bac7625d8fce38392b45edcd3c1688c4276d6f",
+    ("cmc", 1500, "lm", False): "786a7800e5774b00a89325704e34341d302e4d80f689bb754db142cfa3f1803e",
+    ("cmc", 1500, "entropy", True): "3cfdcc52a05c0f964cb34f7dd399c2952310d1505efb89b2252909a47e904a4b",
+}
+
+
+@pytest.mark.parametrize("dataset,n,measure,modified", sorted(PINNED))
+def test_pinned_paper_size_outputs(dataset, n, measure, modified):
+    enc = EncodedTable(load(dataset, n=n, seed=1))
+    model = CostModel(enc, get_measure(measure))
+    clustering = agglomerative_clustering(
+        model, 5, get_distance("d3"), modified=modified, backend="python"
+    )
+    nodes = clustering_to_nodes(enc, clustering)
+    assert nodes.dtype == np.int32
+    digest = hashlib.sha256(np.ascontiguousarray(nodes).tobytes()).hexdigest()
+    assert digest == PINNED[(dataset, n, measure, modified)]

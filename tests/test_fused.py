@@ -43,12 +43,10 @@ from repro.measures.base import (
 )
 from repro.measures.lm import LMMeasure
 from repro.measures.registry import get_measure, measure_names
-from repro.tabular.attribute import Attribute, integer_attribute
 from repro.tabular.encoding import EncodedTable
-from repro.tabular.hierarchy import IntervalCollection, SubsetCollection
-from repro.tabular.table import Schema, Table
+from repro.tabular.table import Table
 
-from tests.conftest import make_random_table
+from tests.conftest import make_interval_table, make_random_table
 
 
 def _duplicate_heavy() -> Table:
@@ -58,24 +56,13 @@ def _duplicate_heavy() -> Table:
     return Table(base.schema, rows)
 
 
-def _interval_table() -> Table:
-    ages = IntervalCollection(integer_attribute("age", 30, 36))
-    sex = SubsetCollection(Attribute("sex", ["f", "m"]))
-    rng = np.random.default_rng(5)
-    rows = [
-        (str(int(rng.integers(30, 37))), ["f", "m"][int(rng.integers(0, 2))])
-        for _ in range(22)
-    ]
-    return Table(Schema([ages, sex]), rows)
-
-
 TABLES = {
     "grouped": lambda: make_random_table(26, seed=11, domain_sizes=(5, 4, 3)),
     "flat": lambda: make_random_table(
         20, seed=2, domain_sizes=(6, 3), with_groups=False
     ),
     "duplicates": _duplicate_heavy,
-    "intervals": _interval_table,
+    "intervals": make_interval_table,
 }
 
 

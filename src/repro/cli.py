@@ -70,7 +70,6 @@ import sys
 from typing import Sequence
 
 from repro.core.api import anonymize
-from repro.core.backend import backend_names
 from repro.datasets.registry import dataset_names, default_size, load
 from repro.errors import DeadlineExceeded, ReproError
 from repro.tabular.encoding import EncodedTable
@@ -137,13 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["expansion", "nearest"],
         help="(k,1) stage (Algorithm 4 or 3)",
     )
-    anon.add_argument(
-        "--backend",
-        default=None,
-        choices=backend_names(),
-        help="agglomerative engine (bit-equivalent; default: python or "
-        "$REPRO_BACKEND)",
-    )
     anon.add_argument("--out", help="output CSV for the release")
     anon.add_argument("--schema-out", help="also write the schema JSON here")
     anon.add_argument("--table-out", help="also write the original table CSV here")
@@ -197,13 +189,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="preload the --journal file from a previous (killed or "
         "timed-out) run; finished cells are not recomputed",
-    )
-    exp.add_argument(
-        "--backend",
-        default=None,
-        choices=backend_names(),
-        help="agglomerative engine for every grid cell (bit-equivalent; "
-        "default: python or $REPRO_BACKEND)",
     )
     exp.add_argument(
         "--workers",
@@ -399,14 +384,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz_cmd.add_argument(
         "--verbose", action="store_true", help="print a line per case"
     )
-    fuzz_cmd.add_argument(
-        "--backend",
-        default=None,
-        choices=backend_names(),
-        help="primary agglomerative engine for every case (the "
-        "agglomerative algorithms are cross-checked against the other "
-        "engine regardless; default: python or $REPRO_BACKEND)",
-    )
 
     lint_cmd = sub.add_parser(
         "lint",
@@ -597,7 +574,6 @@ def _cmd_anonymize(args: argparse.Namespace) -> int:
         distance=args.distance,
         modified=args.modified,
         expander=args.expander,
-        backend=args.backend,
     )
     if args.out:
         write_generalized_csv(result.generalized, args.out)
@@ -668,7 +644,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         max_cases=args.max_cases,
         max_failures=args.max_failures,
         on_case=progress if args.verbose else None,
-        backend=args.backend,
     )
     print(report.summary())
     return 0 if report.ok else 1
@@ -830,9 +805,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 f"journal {args.journal!r} already exists; pass --resume "
                 "to continue it, or remove the file to start over"
             )
-    from repro.core.backend import resolve_backend
-
-    config = ExperimentConfig(seed=args.seed, backend=resolve_backend(args.backend))
+    config = ExperimentConfig(seed=args.seed)
     runner = ExperimentRunner(config, journal=journal, resume=args.resume)
     if args.resume:
         print(f"resumed {runner.resumed_cells} finished cells from {args.journal}")

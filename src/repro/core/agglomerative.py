@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.backend import resolve_backend
 from repro.core.clustering import Clustering
 from repro.core.distances import ClusterDistance
 from repro.errors import AnonymityError
@@ -48,16 +47,7 @@ _BLOCK_CELLS = 1 << 18
 
 
 class _Engine:
-    """Mutable state for one run of Algorithm 1/2.
-
-    Subclass seam: :class:`repro.core.columnar._ColumnarEngine` inherits
-    the merge loop, shrink step and leftover distribution unchanged and
-    overrides only the distance bookkeeping (``_init_distances``,
-    ``_refresh_row``, ``_rescan_row``, ``_deactivate``, ``_pair_value``)
-    with a matrix-free bucketed scheme that reproduces this engine's
-    ``row_min``/``row_arg`` state — and therefore its merge sequence —
-    bit for bit.
-    """
+    """Mutable state for one run of Algorithm 1/2."""
 
     def __init__(self, model: CostModel, distance: ClusterDistance, k: int) -> None:
         self._init_slots(model, distance, k)
@@ -66,12 +56,12 @@ class _Engine:
     def _init_slots(
         self, model: CostModel, distance: ClusterDistance, k: int
     ) -> None:
-        """Allocate the per-slot cluster state shared by all backends,
-        and the fused join→cost kernel every candidate is priced with.
+        """Allocate the per-slot cluster state and the fused join→cost
+        kernel every candidate is priced with.
 
-        Split from ``__init__`` so benchmarks (and the columnar
-        subclass) can build an engine at an arbitrary prepared state
-        without paying for the dense all-pairs initialization.
+        Split from ``__init__`` so tests can build an engine at an
+        arbitrary prepared state without paying for the dense all-pairs
+        initialization.
         """
         enc = model.enc
         n = enc.num_records
@@ -193,11 +183,6 @@ class _Engine:
         self.row_arg[x] = arg
         self.row_min[x] = row[arg]
 
-    def _pair_value(self, x: int, y: int) -> float:
-        """The currently-recorded distance of the pair ``(x, y)`` — the
-        value ``_pop_closest_pair`` validates a cached minimum against."""
-        return float(self.matrix[x, y])
-
     def _pop_closest_pair(self) -> tuple[int, int] | None:
         """The true closest active pair, via lazy staleness validation.
 
@@ -216,7 +201,7 @@ class _Engine:
             if not np.isfinite(best):
                 return None
             y = int(self.row_arg[x])
-            if self.active[y] and self._pair_value(x, y) == best:
+            if self.active[y] and self.matrix[x, y] == best:
                 return x, y
             self.stat_rescans += 1
             self._rescan_row(x)
@@ -420,7 +405,6 @@ def agglomerative_clustering(
     k: int,
     distance: ClusterDistance,
     modified: bool = False,
-    backend: str | None = None,
 ) -> Clustering:
     """Run Algorithm 1 (or, with ``modified=True``, Algorithm 1+2).
 
@@ -435,13 +419,6 @@ def agglomerative_clustering(
     modified:
         Apply the Algorithm 2 shrink step to ripe clusters, keeping all
         final clusters at size exactly k where possible.
-    backend:
-        Execution backend (:data:`repro.core.backend.BACKENDS`):
-        ``"python"`` runs the dense-matrix reference engine,
-        ``"columnar"`` the bucketed matrix-free engine of
-        :mod:`repro.core.columnar`.  Both produce bit-identical
-        clusterings (same merge sequence, same tie-breaking); ``None``
-        resolves via :func:`repro.core.backend.resolve_backend`.
 
     Returns
     -------
@@ -461,11 +438,6 @@ def agglomerative_clustering(
         # Trivial: every record is its own cluster, nothing is generalized.
         return Clustering(n, [[i] for i in range(n)])
     # Checkpoint before allocating the engine so a spent deadline fails
-    # fast; both all-pairs inits also checkpoint once per block (dense)
-    # or per bucket (columnar).
+    # fast; the all-pairs init also checkpoints once per block.
     checkpoint("core.agglomerative.init")
-    if resolve_backend(backend) == "columnar":
-        from repro.core.columnar import _ColumnarEngine
-
-        return _ColumnarEngine(model, distance, k).run(modified)
     return _Engine(model, distance, k).run(modified)

@@ -32,7 +32,6 @@ from typing import Any
 import numpy as np
 
 from repro.core.agglomerative import agglomerative_clustering
-from repro.core.backend import resolve_backend
 from repro.core.clustering import Clustering, clustering_to_nodes
 from repro.core.distances import ClusterDistance, get_distance
 from repro.core.forest import forest_clustering
@@ -65,12 +64,14 @@ class AnonymizationResult:
     elapsed_seconds: float  #: wall-clock time of the algorithm
     clustering: Clustering | None = None  #: for clustering-based notions
     stats: dict[str, Any] = field(default_factory=dict)  #: extra diagnostics
-    #: Resolved ``backend`` argument (it selects only the agglomerative
-    #: engine).  Deliberately a separate field, NOT a ``stats`` entry:
-    #: backends are bit-equivalent and ``stats`` feeds deterministic
-    #: outputs (service bodies, journal rows) that must not vary with
-    #: the execution strategy.
-    backend: str = "python"
+
+    @property
+    def backend(self) -> str:
+        """Always ``"python"``: there is one agglomerative engine.
+
+        Kept read-only for callers that still record it as provenance.
+        """
+        return "python"
 
     def verify(self, with_matches: bool | None = None) -> bool:
         """Re-check that the result satisfies its requested notion."""
@@ -116,7 +117,6 @@ def anonymize(
     modified: bool = False,
     expander: str = "expansion",
     encoded: EncodedTable | None = None,
-    backend: str | None = None,
 ) -> AnonymizationResult:
     """Anonymize ``table`` under the requested k-type notion.
 
@@ -148,15 +148,6 @@ def anonymize(
         (Algorithm 4) or ``"nearest"`` (Algorithm 3).
     encoded:
         Optional pre-built encoding of ``table`` to reuse across calls.
-    backend:
-        Agglomerative engine for ``notion="k"`` with
-        ``algorithm="agglomerative"``: ``"python"`` or ``"columnar"``
-        (:data:`repro.core.backend.BACKENDS`); ``None`` resolves via
-        :func:`repro.core.backend.resolve_backend`.  The engines are
-        bit-equivalent — same generalization, same cost, same
-        tie-breaking — so this is purely a performance knob, and no
-        other algorithm reads it.  The resolved choice is recorded on
-        :attr:`AnonymizationResult.backend`.
 
     Returns
     -------
@@ -176,7 +167,6 @@ def anonymize(
         raise AnonymityError("the provided encoding belongs to a different table")
     measure_obj = _resolve_measure(measure)
     model = CostModel(enc, measure_obj)
-    backend = resolve_backend(backend)
 
     clustering: Clustering | None = None
     stats: dict[str, Any] = {}
@@ -187,7 +177,7 @@ def anonymize(
         if algo == "agglomerative":
             dist_obj = _resolve_distance(distance)
             clustering = agglomerative_clustering(
-                model, k, dist_obj, modified=modified, backend=backend
+                model, k, dist_obj, modified=modified
             )
             algo_name = (
                 f"agglomerative[{dist_obj.name}"
@@ -264,5 +254,4 @@ def anonymize(
         elapsed_seconds=elapsed,
         clustering=clustering,
         stats=stats,
-        backend=backend,
     )

@@ -80,7 +80,6 @@ def blocked_agglomerative(
     distance: ClusterDistance,
     block_size: int = 512,
     modified: bool = False,
-    backend: str | None = None,
 ) -> Clustering:
     """Algorithm 1/2 inside Mondrian blocks of at most ``block_size``.
 
@@ -98,9 +97,6 @@ def blocked_agglomerative(
         two clusters.
     modified:
         Forwarded to the within-block engine (Algorithm 2 shrinking).
-    backend:
-        Forwarded to the within-block engine; blocked results are
-        backend-independent, bit for bit.
 
     Returns
     -------
@@ -125,7 +121,7 @@ def blocked_agglomerative(
         checkpoint("core.scalable.block")
         sub_model = _borrow_costs(model, _encode_subset(enc, members))
         sub_clustering = agglomerative_clustering(
-            sub_model, k, distance, modified=modified, backend=backend
+            sub_model, k, distance, modified=modified
         )
         for cluster in sub_clustering.clusters:
             clusters.append([int(members[i]) for i in cluster])

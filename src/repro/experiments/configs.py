@@ -52,13 +52,6 @@ class ExperimentConfig:
     ks: tuple[int, ...] = PAPER_KS
     datasets: tuple[str, ...] = ("art", "adult", "cmc")
     measures: tuple[str, ...] = ("entropy", "lm")
-    #: Execution backend for every cell.  Deliberately NOT part of
-    #: :class:`~repro.experiments.runner.RunKey` or the journal: backends
-    #: are bit-equivalent, so the same cell run under either backend is
-    #: the same result — which is precisely what
-    #: :func:`repro.perf.equivalence.check_backend_equivalence` verifies
-    #: by comparing the two runs' canonical journals byte-for-byte.
-    backend: str = "python"
 
     def describe(self) -> str:
         """One-line run description for report headers."""

@@ -317,11 +317,7 @@ class ExperimentRunner:
         def go():
             model = self.model(dataset, measure)
             clustering = agglomerative_clustering(
-                model,
-                k,
-                get_distance(distance),
-                modified=modified,
-                backend=self.config.backend,
+                model, k, get_distance(distance), modified=modified
             )
             nodes = clustering_to_nodes(model.enc, clustering)
             return model.table_cost(nodes), {

@@ -39,7 +39,6 @@ from repro.perf.compare import (
 )
 from repro.perf.equivalence import (
     canonical_journal_entries,
-    check_backend_equivalence,
     check_parallel_equivalence,
 )
 from repro.perf.parallel import ParallelStats, run_parallel
@@ -54,7 +53,6 @@ __all__ = [
     "ComparisonFinding",
     "ParallelStats",
     "canonical_journal_entries",
-    "check_backend_equivalence",
     "check_parallel_equivalence",
     "compare_reports",
     "default_cases",

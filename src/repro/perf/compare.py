@@ -35,10 +35,6 @@ DEFAULT_THRESHOLD = 0.5
 #: this much faster than its kept reference implementation.
 MIN_PAIR_SPEEDUPS: dict[str, float] = {
     "entropy-entry-costs": 1.5,
-    # The columnar bucketed scan vs the reference dense-matrix refresh
-    # at the full bench size (measured ≈7× on the reference machine;
-    # the floor leaves headroom for slower CI hosts).
-    "agglomerative-candidate-scan-n10000": 5.0,
 }
 
 _BASELINE_PATTERN = re.compile(r"^BENCH_[0-9A-Za-z._-]+\.json$")

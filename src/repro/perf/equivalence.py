@@ -138,89 +138,3 @@ def _first_journal_divergence(
             return f"journal line {index} differs: serial {s} != parallel {p}"
     return "journals differ"
 
-
-def check_backend_equivalence(
-    config: ExperimentConfig | None = None,
-    keys: Sequence[RunKey] | None = None,
-    backends: Sequence[str] = ("python", "columnar"),
-    work_dir: str | Path | None = None,
-) -> list[Violation]:
-    """Run ``keys`` under every backend; report every divergence.
-
-    Because :class:`RunKey` (and hence the journal identity) carries no
-    backend — backends are bit-equivalent by contract — the strongest
-    possible statement is that runs differing *only* in
-    ``config.backend`` produce byte-identical canonical journals: same
-    cells, same order, same costs, same extra diagnostics, same
-    tie-breaking wherever a tie influences a recorded number.  That is
-    exactly what this check demands, per-cell first (for pinpointed
-    findings) and then on the full journal.
-
-    When a requested backend resolves to another (columnar without
-    NumPy), the comparison degenerates to reference-vs-reference and
-    passes vacuously — graceful degradation is not a finding.
-
-    An empty return means the backends are equivalent on this grid.
-    """
-    from dataclasses import replace
-
-    config = config or ExperimentConfig()
-    if keys is None:
-        keys = plan_cells(config)
-    keys = list(keys)
-    backends = list(backends)
-    reference = backends[0]
-    violations: list[Violation] = []
-
-    with tempfile.TemporaryDirectory(dir=work_dir) as tmp:
-        runs: dict[str, ExperimentRunner] = {}
-        journals: dict[str, Journal] = {}
-        for backend in backends:
-            journal = Journal(Path(tmp) / f"{backend}.jsonl")
-            runner = ExperimentRunner(
-                replace(config, backend=backend), journal=journal
-            )
-            for key in keys:
-                runner.run_key(key)
-            runs[backend] = runner
-            journals[backend] = journal
-
-        ref_runner = runs[reference]
-        for backend in backends[1:]:
-            other = runs[backend]
-            for key in keys:
-                if not other.has(key):
-                    violations.append(
-                        Violation(
-                            "perf.backend.missing-cell",
-                            f"{backend} run never produced {key}",
-                        )
-                    )
-                    continue
-                r_out = json.dumps(
-                    _canonical_outcome(ref_runner._runs[key].to_json()),
-                    sort_keys=True,
-                )
-                b_out = json.dumps(
-                    _canonical_outcome(other._runs[key].to_json()),
-                    sort_keys=True,
-                )
-                if r_out != b_out:
-                    violations.append(
-                        Violation(
-                            "perf.backend.outcome",
-                            f"{key}: {reference} {r_out} != "
-                            f"{backend} {b_out}",
-                        )
-                    )
-            ref_lines = canonical_journal_entries(journals[reference])
-            other_lines = canonical_journal_entries(journals[backend])
-            if ref_lines != other_lines:
-                detail = _first_journal_divergence(ref_lines, other_lines)
-                violations.append(
-                    Violation(
-                        "perf.backend.journal",
-                        f"{reference} vs {backend}: {detail}",
-                    )
-                )
-    return violations

@@ -195,7 +195,6 @@ def _run_rung(
     k: int,
     measure: str,
     enc: EncodedTable,
-    backend: str | None = None,
 ) -> AnonymizationResult:
     if rung.algorithm == "suppress":
         return _suppress_all(table, k, measure, enc)
@@ -209,7 +208,6 @@ def _run_rung(
         modified=rung.modified,
         expander=rung.expander,
         encoded=enc,
-        backend=backend,
     )
 
 
@@ -223,7 +221,6 @@ def run_with_fallback(
     rung_timeout: float | None = None,
     clock: Clock = time.monotonic,
     encoded: EncodedTable | None = None,
-    backend: str | None = None,
 ) -> FallbackOutcome:
     """Execute a degradation chain until one rung yields a valid result.
 
@@ -246,11 +243,6 @@ def run_with_fallback(
         Injectable monotonic clock (tests use a fake).
     encoded:
         Optional pre-built encoding of ``table`` to reuse.
-    backend:
-        Execution backend forwarded to every rung's
-        :func:`~repro.core.api.anonymize` call.  Backends are
-        bit-equivalent, so the winning rung, its result and the report
-        are backend-independent; only speed changes.
 
     Returns
     -------
@@ -291,7 +283,7 @@ def run_with_fallback(
             with timer, limit_scope(*limits), span(
                 "runtime.fallback.rung", rung=rung.name
             ):
-                result = _run_rung(rung, table, k, measure, enc, backend)
+                result = _run_rung(rung, table, k, measure, enc)
         except DeadlineExceeded as exc:
             record(
                 RungAttempt(

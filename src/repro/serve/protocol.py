@@ -28,7 +28,6 @@ from repro.errors import (
     RequestError,
     ServiceOverloaded,
 )
-from repro.core.backend import BACKENDS
 from repro.measures.registry import get_measure
 from repro.runtime.fallback import FallbackReport
 from repro.tabular.table import Table
@@ -42,7 +41,7 @@ VALID_NOTIONS = ("k", "k1", "1k", "kk", "global-1k")
 _NOTION_ALIASES = {"g1k": "global-1k", "global": "global-1k"}
 
 _REQUEST_FIELDS = frozenset(
-    {"dataset", "n", "seed", "k", "notion", "measure", "timeout", "backend"}
+    {"dataset", "n", "seed", "k", "notion", "measure", "timeout"}
 )
 
 
@@ -57,12 +56,6 @@ class AnonymizeRequest:
     notion: str = "kk"  #: requested anonymity notion (normalized)
     measure: str = "entropy"  #: loss measure (normalized canonical name)
     timeout: float | None = None  #: client latency budget, seconds
-    #: Execution backend preference (``None`` = server default).
-    #: Excluded from :meth:`to_json` on purpose: backends are
-    #: bit-equivalent, so the echoed request, the response body and the
-    #: :func:`cache_key` must not vary with it — the resolved backend is
-    #: reported in the volatile ``meta`` envelope instead.
-    backend: str | None = None
 
     @classmethod
     def from_json(cls, payload: Any) -> "AnonymizeRequest":
@@ -122,17 +115,6 @@ class AnonymizeRequest:
                 ) from exc
             if timeout <= 0:
                 raise RequestError(f"timeout must be positive, got {timeout}")
-        backend = payload.get("backend")
-        if backend is not None:
-            if not isinstance(backend, str):
-                raise RequestError(
-                    f"backend must be a string, got {backend!r}"
-                )
-            if backend not in BACKENDS:
-                raise RequestError(
-                    f"unknown backend {backend!r}; "
-                    f"expected one of {list(BACKENDS)}"
-                )
         return cls(
             k=k,
             dataset=dataset,
@@ -141,7 +123,6 @@ class AnonymizeRequest:
             notion=notion,
             measure=measure,
             timeout=timeout,
-            backend=backend,
         )
 
     def to_json(self) -> dict[str, Any]:
@@ -243,24 +224,14 @@ def ok_envelope(
     body: dict[str, Any],
     *,
     cache_hit: bool,
-    backend: str | None = None,
 ) -> dict[str, Any]:
-    """A success response around a (possibly cached) body.
-
-    ``backend`` (the resolved execution backend) lives in the volatile
-    ``meta`` block alongside ``cache_hit``: like a timing, it describes
-    *how* this response was produced, never *what* it contains — bodies
-    and cache keys are backend-independent by the equivalence contract.
-    """
-    meta: dict[str, Any] = {"cache_hit": cache_hit}
-    if backend is not None:
-        meta["backend"] = backend
+    """A success response around a (possibly cached) body."""
     return {
         "v": ENVELOPE_VERSION,
         "status": "ok",
         "request": request.to_json(),
         "body": body,
-        "meta": meta,
+        "meta": {"cache_hit": cache_hit},
     }
 
 

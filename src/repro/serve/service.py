@@ -37,7 +37,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.core.backend import resolve_backend
 from repro.datasets.registry import load as load_dataset
 from repro.errors import (
     FallbackExhausted,
@@ -456,17 +455,13 @@ class AnonymizationService:
                 f"k={request.k} exceeds the table size n={table.num_records}"
             )
         fingerprint = self._fingerprint(request, table)
-        # The key deliberately excludes the backend: backends are
-        # bit-equivalent, so a body computed under either is *the*
-        # body for this request.
         key = cache_key(
             fingerprint, request.k, request.notion, request.measure
         )
-        backend = resolve_backend(request.backend)
         with span("serve.cache.lookup"):
             body = self.cache.get(key)
         if body is not None:
-            return ok_envelope(request, body, cache_hit=True, backend=backend)
+            return ok_envelope(request, body, cache_hit=True)
 
         chain = chain_for(request.notion)
         # One deadline spanning every retry attempt: the budget is the
@@ -485,7 +480,6 @@ class AnonymizationService:
                     overall_timeout=deadline.remaining(),
                     rung_timeout=self.config.rung_timeout,
                     clock=self.clock,
-                    backend=backend,
                 )
 
         with span("serve.execute", notion=request.notion, k=request.k):
@@ -518,7 +512,7 @@ class AnonymizationService:
         # Store *outside* the deadline scope: the result exists; failing
         # the request because persistence ran past the SLO helps nobody.
         self.cache.put(key, body)
-        return ok_envelope(request, body, cache_hit=False, backend=backend)
+        return ok_envelope(request, body, cache_hit=False)
 
     def _fingerprint(self, request: AnonymizeRequest, table: Table) -> str:
         """Fingerprint with a per-(dataset, n, seed) memo.

@@ -30,14 +30,13 @@ instances through this runner against the untouched slow oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from repro.core.agglomerative import agglomerative_clustering
 from repro.core.api import anonymize
-from repro.core.backend import resolve_backend
 from repro.core.clustering import Clustering, clustering_to_nodes
 from repro.core.datafly import datafly
 from repro.core.distances import get_distance
@@ -91,10 +90,6 @@ class AlgorithmSpec:
         repr=False
     )
     requires_laminar: bool = False  #: skip on non-laminar schemas
-    #: The runner honours ``cfg.backend``.  Backend-aware algorithms are
-    #: executed under *both* backends per case and must produce
-    #: bit-identical node matrices (``backend.divergence`` otherwise).
-    backend_aware: bool = False
 
 
 def _clustered(model: CostModel, clustering: Clustering) -> AlgorithmOutput:
@@ -108,11 +103,7 @@ def _run_agglomerative(model: CostModel, cfg: InstanceConfig) -> AlgorithmOutput
     return _clustered(
         model,
         agglomerative_clustering(
-            model,
-            cfg.k,
-            get_distance(cfg.distance),
-            modified=cfg.modified,
-            backend=cfg.backend,
+            model, cfg.k, get_distance(cfg.distance), modified=cfg.modified
         ),
     )
 
@@ -139,7 +130,6 @@ def _run_blocked(model: CostModel, cfg: InstanceConfig) -> AlgorithmOutput:
             get_distance(cfg.distance),
             block_size=block_size,
             modified=cfg.modified,
-            backend=cfg.backend,
         ),
     )
 
@@ -201,11 +191,11 @@ def _ref_global(model: CostModel, cfg: InstanceConfig) -> np.ndarray:
 
 #: Every registered algorithm, in execution order.
 REGISTRY: tuple[AlgorithmSpec, ...] = (
-    AlgorithmSpec("agglomerative", "k", _run_agglomerative, backend_aware=True),
+    AlgorithmSpec("agglomerative", "k", _run_agglomerative),
     AlgorithmSpec("forest", "k", _run_forest),
     AlgorithmSpec("mondrian", "k", _run_mondrian),
     AlgorithmSpec("kmember", "k", _run_kmember),
-    AlgorithmSpec("blocked", "k", _run_blocked, backend_aware=True),
+    AlgorithmSpec("blocked", "k", _run_blocked),
     AlgorithmSpec("datafly", "k", _run_datafly, requires_laminar=True),
     AlgorithmSpec("k1-nearest", "k1", _run_k1_nearest),
     AlgorithmSpec("k1-expansion", "k1", _run_k1_expansion),
@@ -311,7 +301,6 @@ def check_api_end_to_end(instance: Instance) -> list[Violation]:
             distance=cfg.distance,
             modified=cfg.modified,
             expander=cfg.expander,
-            backend=cfg.backend,
         )
     except ReproError as exc:
         return [
@@ -344,47 +333,6 @@ def check_api_end_to_end(instance: Instance) -> list[Violation]:
     except ReproError as exc:
         out.append(Violation("api.generalizes", str(exc)))
     return out
-
-
-def _check_backend_agreement(
-    spec: AlgorithmSpec,
-    model: CostModel,
-    cfg: InstanceConfig,
-    produced: AlgorithmOutput,
-) -> list[Violation]:
-    """Re-run ``spec`` under the other backend; demand identical nodes.
-
-    Backends promise *bit-identical* outputs (same tie-breaking, same
-    merge sequence), so any difference in the node matrix — not merely
-    in cost — is a finding.  Skipped when only one backend can run
-    (NumPy absent).
-    """
-    primary = resolve_backend(cfg.backend)
-    other = "columnar" if primary == "python" else "python"
-    if resolve_backend(other) == primary:
-        return []  # columnar unavailable: nothing to cross-check
-    try:
-        mirrored = spec.run(model, replace(cfg, backend=other))
-    except Exception as exc:  # noqa: BLE001 — asymmetric crash is the finding
-        return [
-            Violation(
-                "backend.divergence",
-                f"{spec.name}: {primary} backend succeeded but {other} "
-                f"raised {type(exc).__name__}: {exc}",
-            )
-        ]
-    if not np.array_equal(produced.nodes, mirrored.nodes):
-        diff = int((produced.nodes != mirrored.nodes).any(axis=1).sum())
-        return [
-            Violation(
-                "backend.divergence",
-                f"{spec.name} (k={cfg.k}, distance={cfg.distance}, "
-                f"measure={cfg.measure}, modified={cfg.modified}): "
-                f"{primary} and {other} backends disagree on "
-                f"{diff} record(s)",
-            )
-        ]
-    return []
 
 
 def _check_reference(
@@ -442,10 +390,8 @@ def differential_check(
 ) -> list[Violation]:
     """Run every applicable registered algorithm on one instance.
 
-    Backend-aware algorithms additionally run under the other execution
-    backend and must reproduce the primary backend's node matrix bit for
-    bit (``backend.divergence`` otherwise); algorithms with a literal
-    reference must reproduce it (``differential.<name>`` otherwise).
+    Algorithms with a literal reference must reproduce it
+    (``differential.<name>`` otherwise).
 
     Returns all invariant violations found; an empty list means the
     instance passed the full differential battery.
@@ -478,8 +424,6 @@ def differential_check(
                 )
             )
             continue
-        if spec.backend_aware:
-            out.extend(_check_backend_agreement(spec, model, cfg, produced))
         if spec.name in _REFERENCES:
             out.extend(_check_reference(spec, model, cfg, produced))
         out.extend(

@@ -51,12 +51,6 @@ class InstanceConfig:
     distance: str  #: agglomerative cluster distance name
     expander: str  #: (k,1) stage: ``expansion`` or ``nearest``
     modified: bool  #: use Algorithm 2's shrink step
-    #: Primary execution backend for the case.  The differential runner
-    #: additionally executes every backend-aware algorithm under the
-    #: *other* backend and demands bit-identical node matrices, so a
-    #: case fails on the first cross-backend divergence regardless of
-    #: which backend is primary.
-    backend: str = "python"
 
 
 @dataclass(frozen=True)
@@ -92,8 +86,7 @@ class Instance:
             f"notion={self.config.notion} measure={self.config.measure} "
             f"distance={self.config.distance} "
             f"expander={self.config.expander} "
-            f"modified={self.config.modified} "
-            f"backend={self.config.backend}",
+            f"modified={self.config.modified}",
             f"{self.table.num_records} records × "
             f"{schema.num_attributes} attributes",
         ]

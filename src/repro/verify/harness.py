@@ -14,12 +14,11 @@ re-executes precisely the failing case, nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from repro.core.backend import resolve_backend
 from repro.runtime import Timer
 from repro.verify.differential import differential_check
 from repro.verify.generators import (
@@ -54,15 +53,11 @@ class FuzzFailure:
     case_seed: int  #: seed that regenerates the failing instance
     violations: tuple[Violation, ...]  #: everything that broke
     shrunk: Instance  #: minimized instance still exhibiting a failure
-    backend: str = "python"  #: primary backend the case ran under
 
     @property
     def replay_command(self) -> str:
         """Shell command that re-executes exactly this case."""
-        cmd = f"repro-anon fuzz --seed {self.case_seed} --max-cases 1"
-        if self.backend != "python":
-            cmd += f" --backend {self.backend}"
-        return cmd
+        return f"repro-anon fuzz --seed {self.case_seed} --max-cases 1"
 
     def format(self) -> str:
         """Multi-line failure report."""
@@ -119,7 +114,6 @@ def _shrink_failure(
         case_seed=case_seed,
         violations=tuple(violations),
         shrunk=shrunk,
-        backend=instance.config.backend,
     )
 
 
@@ -129,7 +123,6 @@ def fuzz(
     max_cases: int | None = None,
     max_failures: int = 3,
     on_case: Callable[[int, int, list[Violation]], None] | None = None,
-    backend: str | None = None,
 ) -> FuzzReport:
     """Run the fuzzing harness.
 
@@ -150,13 +143,6 @@ def fuzz(
         triggers an expensive shrinking phase).
     on_case:
         Optional progress callback ``(case_index, case_seed, violations)``.
-    backend:
-        Primary execution backend for every case
-        (:func:`repro.core.backend.resolve_backend` applies).  The
-        differential battery cross-checks backend-aware algorithms
-        against the other backend either way; the primary choice decides
-        which side the invariant checks and the end-to-end API call run
-        on, and is preserved in each failure's replay command.
 
     Returns
     -------
@@ -164,7 +150,6 @@ def fuzz(
     """
     if budget_seconds is None and max_cases is None:
         budget_seconds = DEFAULT_BUDGET_SECONDS
-    resolved_backend = resolve_backend(backend)
     timer = Timer().__enter__()
     report = FuzzReport(seed=seed)
     i = 0
@@ -179,11 +164,6 @@ def fuzz(
             break
         case_seed = seed + i
         instance = random_instance(case_seed)
-        if resolved_backend != instance.config.backend:
-            instance = Instance(
-                table=instance.table,
-                config=replace(instance.config, backend=resolved_backend),
-            )
         violations = check_case(instance)
         if on_case is not None:
             on_case(i, case_seed, violations)

@@ -16,6 +16,7 @@ import pytest
 
 import repro.core.agglomerative as agglomerative_module
 from repro.core.agglomerative import _Engine, agglomerative_clustering
+from repro.core.api import anonymize
 from repro.core.clustering import clustering_to_nodes
 from repro.core.distances import distance_names, get_distance
 from repro.datasets.registry import load
@@ -280,25 +281,66 @@ class TestMergedClosure:
 # --------------------------------------------------------------------- #
 
 #: SHA-256 of the int32 node matrices of ``agglomerative_clustering``
-#: (d3, k=5, dataset seed 1), computed with the one-shot broadcast init,
-#: per-row ``join_rows`` + ``record_cost`` pricing and per-member merge
-#: closures.
+#: (k=5, dataset seed 1).  The d3 rows were computed with the one-shot
+#: broadcast init, per-row ``join_rows`` + ``record_cost`` pricing and
+#: per-member merge closures; the rows for the other distances with the
+#: blocked init and fused pricing, which reproduce the d3 rows bit for
+#: bit.
 PINNED = {
-    ("art", 1000, "lm", False): "624b6f52d06a5c21eaa5d63977cc4dfa7ebfb81b5cd3b0af34bd838477d86ea8",
-    ("art", 1000, "entropy", True): "d75bb5b0a29b1a6abd6050a823bac7625d8fce38392b45edcd3c1688c4276d6f",
-    ("cmc", 1500, "lm", False): "786a7800e5774b00a89325704e34341d302e4d80f689bb754db142cfa3f1803e",
-    ("cmc", 1500, "entropy", True): "3cfdcc52a05c0f964cb34f7dd399c2952310d1505efb89b2252909a47e904a4b",
+    ("art", 1000, "d1", "lm", False): "e41e5c93b63f821c69a3d4b0e65efd029724838b24b4b83ba8291bce5e6d7f2d",
+    ("art", 1000, "d1", "entropy", True): "21761aa8d2d26dd0a9c08c5605863c5ebf94cb69450a8efd0251305eff191a59",
+    ("art", 1000, "d2", "lm", False): "42e03f4cec9e8e5a9ad957c1fa32f2da73259aeedb907c3241f29c763409d66e",
+    ("art", 1000, "d2", "entropy", True): "a101b9b592a357e7d2d3188e7753d4d875734bf6e1a346e4ec5823af21200157",
+    ("art", 1000, "d3", "lm", False): "624b6f52d06a5c21eaa5d63977cc4dfa7ebfb81b5cd3b0af34bd838477d86ea8",
+    ("art", 1000, "d3", "entropy", True): "d75bb5b0a29b1a6abd6050a823bac7625d8fce38392b45edcd3c1688c4276d6f",
+    ("art", 1000, "d4", "lm", False): "5ea607d35de6a094fe142f5fa6d24825a3ba60c962c5763869d6412d56d9d2ad",
+    ("art", 1000, "d4", "entropy", True): "ce457b5159aa8bd44e8968fc89f40b2ceb95a51b716eeb6f05f2219d54c89625",
+    ("art", 1000, "nc", "lm", False): "61e3d47b4c050c2d26fbb90468489ab49b6258ae01bef8f9c2068dd7230646e0",
+    ("art", 1000, "nc", "entropy", True): "42ea89641a554b62810c043bd6c6f04206056cec7bdae39d172b8d25e6b8a5d5",
+    ("cmc", 1500, "d3", "lm", False): "786a7800e5774b00a89325704e34341d302e4d80f689bb754db142cfa3f1803e",
+    ("cmc", 1500, "d3", "entropy", True): "3cfdcc52a05c0f964cb34f7dd399c2952310d1505efb89b2252909a47e904a4b",
 }
 
 
-@pytest.mark.parametrize("dataset,n,measure,modified", sorted(PINNED))
-def test_pinned_paper_size_outputs(dataset, n, measure, modified):
+def _node_digest(nodes: np.ndarray) -> str:
+    assert nodes.dtype == np.int32
+    return hashlib.sha256(np.ascontiguousarray(nodes).tobytes()).hexdigest()
+
+
+def _pin_id(key) -> str:
+    """Test id of a pin; rows on d3, ``anonymize``'s default distance,
+    leave the distance out (``art-1000-lm-False``)."""
+    dataset, n, distance, measure, modified = key
+    parts = [dataset, n] + ([] if distance == "d3" else [distance])
+    return "-".join(str(p) for p in parts + [measure, modified])
+
+
+@pytest.mark.parametrize(
+    "dataset,n,distance,measure,modified",
+    sorted(PINNED),
+    ids=[_pin_id(key) for key in sorted(PINNED)],
+)
+def test_pinned_paper_size_outputs(dataset, n, distance, measure, modified):
     enc = EncodedTable(load(dataset, n=n, seed=1))
     model = CostModel(enc, get_measure(measure))
     clustering = agglomerative_clustering(
-        model, 5, get_distance("d3"), modified=modified, backend="python"
+        model, 5, get_distance(distance), modified=modified
     )
     nodes = clustering_to_nodes(enc, clustering)
-    assert nodes.dtype == np.int32
-    digest = hashlib.sha256(np.ascontiguousarray(nodes).tobytes()).hexdigest()
-    assert digest == PINNED[(dataset, n, measure, modified)]
+    assert _node_digest(nodes) == PINNED[(dataset, n, distance, measure, modified)]
+
+
+#: ``anonymize`` on ART 10k (dataset seed 0, LM, d3, k=10): the largest
+#: table the n² matrix is run on in the test suite.  Beyond it, tables
+#: go through ``blocked_agglomerative`` (``tests/test_scalable.py``).
+ART_10K_DIGEST = "950e65a8b57654aa2baaa21e602dda14c82e1eb644d0675336208bd73765c28e"
+
+
+@pytest.mark.slow
+def test_pinned_ten_thousand_records():
+    result = anonymize(
+        load("art", n=10_000, seed=0), k=10, notion="k", measure="lm",
+        algorithm="agglomerative", distance="d3",
+    )
+    assert _node_digest(result.node_matrix) == ART_10K_DIGEST
+    assert result.cost == 0.14264282407407405

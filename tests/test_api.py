@@ -1,5 +1,7 @@
 """Unit tests for the high-level anonymize() facade."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -124,3 +126,14 @@ class TestAnonymize:
     def test_elapsed_recorded(self, small_table):
         result = anonymize(small_table, k=3)
         assert result.elapsed_seconds >= 0.0
+
+    def test_backend_is_a_constant_read_only_property(self, small_table):
+        # Provenance readers still ask for it; there is one engine, so it
+        # is neither a parameter nor a field.
+        result = anonymize(small_table, k=3)
+        assert result.backend == "python"
+        assert "backend" not in {f.name for f in dataclasses.fields(result)}
+        with pytest.raises(AttributeError):
+            result.backend = "other"
+        with pytest.raises(TypeError):
+            anonymize(small_table, k=3, backend="python")

@@ -6,11 +6,13 @@ import pytest
 from repro.core.agglomerative import agglomerative_clustering
 from repro.core.clustering import clustering_to_nodes
 from repro.core.distances import get_distance
-from repro.core.notions import is_k_anonymous
+from repro.core.notions import is_k_anonymous, satisfies
 from repro.core.scalable import _partition_blocks, blocked_agglomerative
+from repro.datasets.registry import load
 from repro.errors import AnonymityError
 from repro.measures.base import CostModel
 from repro.measures.entropy import EntropyMeasure
+from repro.measures.lm import LMMeasure
 from repro.tabular.encoding import EncodedTable
 from tests.conftest import make_random_table
 
@@ -101,3 +103,14 @@ class TestBlockedAgglomerative:
             model, 4, get_distance("d1"), block_size=48, modified=True
         )
         assert clustering.min_cluster_size() >= 4
+
+
+@pytest.mark.slow
+def test_fifty_thousand_records():
+    """ADT 50k, far past what the n² matrix can hold, in Mondrian
+    blocks of at most 512 records."""
+    enc = EncodedTable(load("adult", n=50_000, seed=0))
+    model = CostModel(enc, LMMeasure())
+    clustering = blocked_agglomerative(model, 5, get_distance("d3"))
+    nodes = clustering_to_nodes(enc, clustering)
+    assert satisfies(enc, nodes, "k", 5)

@@ -36,6 +36,7 @@ from repro.serve import (
     cache_key,
     canonical_body,
     chain_for,
+    default_loader,
     error_envelope,
     http_status,
     ok_envelope,
@@ -104,8 +105,13 @@ class TestProtocol:
         assert request.measure == "entropy"
 
     def test_unknown_fields_are_rejected_not_defaulted(self):
-        with pytest.raises(RequestError, match="notions"):
-            AnonymizeRequest.from_json({"k": 2, "notions": "kk"})
+        for field, value in (("notions", "kk"), ("backend", "python")):
+            with pytest.raises(RequestError, match=field):
+                AnonymizeRequest.from_json({"k": 2, field: value})
+            envelope = _service().handle(_request(**{field: value}))
+            assert envelope["status"] == "error"
+            assert envelope["error"]["kind"] == "request"
+            assert http_status(envelope) == 400
 
     def test_missing_k_and_bool_k_are_rejected(self):
         with pytest.raises(RequestError, match="missing"):
@@ -620,68 +626,36 @@ class TestChaosDrill:
         assert len(report.checks) >= 8
 
 
-class TestBackendPurity:
-    """Backends are an execution detail: bodies, cache keys and the
-    echoed request must be byte-identical across them, with the
-    resolved backend reported only in the volatile ``meta`` block."""
-
-    def test_bodies_byte_identical_across_backends(self):
-        envelopes = {
-            backend: _service().handle(_request(backend=backend))
-            for backend in ("python", "columnar")
-        }
-        py, col = envelopes["python"], envelopes["columnar"]
-        assert py["status"] == col["status"] == "ok"
-        assert canonical_body(py) == canonical_body(col)
-        assert py["request"] == col["request"]
-        assert "backend" not in py["request"]
-        assert py["meta"]["backend"] == "python"
-        assert col["meta"]["backend"] == "columnar"
-
-    def test_backends_share_one_cache_entry(self):
-        service = _service()
-        first = service.handle(_request(backend="python"))
-        assert first["meta"]["cache_hit"] is False
-        second = service.handle(_request(backend="columnar"))
-        assert second["meta"]["cache_hit"] is True
-        assert second["body"] == first["body"]
-        assert second["meta"]["backend"] == "columnar"
-        assert service.registry.counter("serve.execute.computed") == 1
-
-    def test_backend_appears_nowhere_but_meta(self):
-        envelope = _service().handle(_request(backend="columnar"))
-        stripped = dict(envelope)
-        del stripped["meta"]
-        assert "columnar" not in json.dumps(stripped)
-        assert envelope["meta"]["backend"] == "columnar"
-
-    def test_unknown_backend_is_a_request_error(self):
-        with pytest.raises(RequestError, match="unknown backend"):
-            AnonymizeRequest.from_json({"k": 2, "backend": "gpu"})
-        envelope = _service().handle(_request(backend="gpu"))
-        assert envelope["status"] == "error"
-        assert envelope["error"]["kind"] == "request"
-
-    def test_to_json_excludes_backend(self):
-        request = AnonymizeRequest.from_json(
-            {"k": 2, "n": 30, "backend": "columnar"}
-        )
-        assert request.backend == "columnar"
-        assert "backend" not in request.to_json()
-
-
 # --------------------------------------------------------------------- #
 # live telemetry (opt-in): windows, SLOs, flight, health gauges
 # --------------------------------------------------------------------- #
 
 
-def _live_service(clock=None, **config_overrides) -> AnonymizationService:
+def _live_service(
+    clock=None, loader=None, **config_overrides
+) -> AnonymizationService:
     kwargs = dict(retry=_FAST_RETRY, live_telemetry=True)
     kwargs.update(config_overrides)
     service_kwargs = {"sleeper": _no_sleep}
     if clock is not None:
         service_kwargs["clock"] = clock
+    if loader is not None:
+        service_kwargs["loader"] = loader
     return AnonymizationService(ServiceConfig(**kwargs), **service_kwargs)
+
+
+def _slow_loader(clock: FakeClock, seconds: float):
+    """A loader that takes ``seconds`` of fake time per request.
+
+    The latency a test drives is then exactly what it injects, however
+    many times the request path reads the (otherwise frozen) clock.
+    """
+
+    def load(request):
+        clock.advance(seconds)
+        return default_loader(request)
+
+    return load
 
 
 def _serve_in_thread(service):
@@ -867,14 +841,15 @@ class TestLiveTelemetry:
             server.server_close()
 
     def test_fake_clock_regression_trips_slo_once(self, tmp_path):
-        # Every clock read ticks 10 ms, so each request appears to take
-        # seconds against a 500 ms p99 target: the first request crosses
-        # the breach edge, and — critically — staying breached must not
-        # write a second dump.
+        # Every request loads its table for 1 s of fake time against a
+        # 500 ms p99 target: the first request crosses the breach edge,
+        # and — critically — staying breached must not write a second
+        # dump.
         flight_path = tmp_path / "flight.json"
-        clock = FakeClock(step=0.01)
+        clock = FakeClock()
         service = _live_service(
             clock=clock,
+            loader=_slow_loader(clock, 1.0),
             flight_journal=str(flight_path),
             window_horizon_seconds=600.0,
             objectives=default_objectives(latency_target=0.5),
@@ -908,9 +883,10 @@ class TestLiveTelemetry:
         assert health["status"] == "breach"
 
     def test_slo_advisory_halves_the_breaker_and_inflates_waits(self, tmp_path):
-        clock = FakeClock(step=0.01)
+        clock = FakeClock()
         service = _live_service(
             clock=clock,
+            loader=_slow_loader(clock, 1.0),
             slo_advisory=True,
             window_horizon_seconds=600.0,
             objectives=default_objectives(latency_target=0.5),

@@ -65,6 +65,7 @@ METRIC_NAMES: FrozenSet[str] = frozenset(
         # serve — health gauges (mirrored on /metricz)
         "serve.breaker.state",
         "serve.cache.entries",
+        "serve.cache.fingerprints",
         "serve.cache.journal_bytes",
         "serve.gate.depth",
         # serve — histograms

@@ -11,9 +11,15 @@ drill and the serve bench all drive it directly):
    exit path so a half-open probe can never leak), then the bounded
    :class:`~repro.serve.admission.AdmissionGate`; overload yields a
    typed shed envelope, never a hang.
-3. **cache** — fingerprint the loaded table and look up
-   ``(fingerprint, k, notion, measure)``; hits serve the stored body
-   verbatim with zero recomputation.
+3. **cache** — look up ``(fingerprint, k, notion, measure)``; hits
+   serve the stored body verbatim with zero recomputation.  A registry
+   dataset is a pure function of ``(dataset, n, seed)``, so the service
+   memoizes each triple's fingerprint and size in an LRU bounded by
+   :data:`FINGERPRINT_MEMO_SIZE`: a request on a memoized triple checks
+   ``k ≤ n`` and looks up the cache without loading the table, which
+   it loads only on a miss.  The first request on a triple, and every
+   request through an injected loader (which bypasses the memo), loads
+   and fingerprints the table first.
 4. **execute** — run the :mod:`repro.runtime.fallback` degradation
    chain under the request's :class:`~repro.runtime.Deadline`, guarded
    by retry and the breaker; the winning rung lands in the response's
@@ -34,6 +40,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -83,6 +90,10 @@ from repro.tabular.table import Table
 #: Resolves a request to the table it names (injectable for tests that
 #: serve hand-built tables with custom QI configurations).
 TableLoader = Callable[[AnonymizeRequest], Table]
+
+#: Registry ``(dataset, n, seed)`` triples whose fingerprint and size one
+#: service remembers; the least recently used falls out past the bound.
+FINGERPRINT_MEMO_SIZE = 1024
 
 
 def default_loader(request: AnonymizeRequest) -> Table:
@@ -210,7 +221,10 @@ class AnonymizationService:
             clock=clock,
         )
         self._ids = itertools.count(1)
-        self._fingerprints: dict[tuple[str, int | None, int], str] = {}
+        # (dataset, n, seed) -> (fingerprint, num_records), LRU order.
+        self._fingerprints: OrderedDict[
+            tuple[str, int | None, int], tuple[str, int]
+        ] = OrderedDict()
         self._fp_lock = threading.Lock()
 
     # ----------------------------------------------------------------- #
@@ -282,8 +296,9 @@ class AnonymizationService:
 
         Called before every ``/metricz`` snapshot so one scrape carries
         both workload counters and service health — gate depth, breaker
-        state (0 closed / 1 half-open / 2 open), cache entries, and the
-        cache journal's unbounded on-disk size (ROADMAP item 3).
+        state (0 closed / 1 half-open / 2 open), cache entries, the
+        cache journal's unbounded on-disk size, and the entries of the
+        bounded fingerprint memo.
         """
         gate = self.gate.stats()
         breaker_states = {"closed": 0.0, "half-open": 1.0, "open": 2.0}
@@ -299,6 +314,9 @@ class AnonymizationService:
         registry.set_gauge(
             "serve.cache.journal_bytes", float(self.cache.journal_bytes())
         )
+        with self._fp_lock:
+            memoized = len(self._fingerprints)
+        registry.set_gauge("serve.cache.fingerprints", float(memoized))
 
     def _record_flight(
         self, envelope: dict[str, Any], seconds: float
@@ -449,12 +467,19 @@ class AnonymizationService:
         budget: float,
         permit: BreakerPermit,
     ) -> dict[str, Any]:
-        table = self.loader(request)
-        if request.k > table.num_records:
+        table: Table | None = None
+        memo = self._memoized(request)
+        if memo is None:
+            table = self.loader(request)
+            num_records = table.num_records
+        else:
+            fingerprint, num_records = memo
+        if request.k > num_records:
             raise RequestError(
-                f"k={request.k} exceeds the table size n={table.num_records}"
+                f"k={request.k} exceeds the table size n={num_records}"
             )
-        fingerprint = self._fingerprint(request, table)
+        if table is not None:
+            fingerprint = self._fingerprint(request, table)
         key = cache_key(
             fingerprint, request.k, request.notion, request.measure
         )
@@ -462,6 +487,8 @@ class AnonymizationService:
             body = self.cache.get(key)
         if body is not None:
             return ok_envelope(request, body, cache_hit=True)
+        if table is None:
+            table = self.loader(request)
 
         chain = chain_for(request.notion)
         # One deadline spanning every retry attempt: the budget is the
@@ -514,22 +541,35 @@ class AnonymizationService:
         self.cache.put(key, body)
         return ok_envelope(request, body, cache_hit=False)
 
-    def _fingerprint(self, request: AnonymizeRequest, table: Table) -> str:
-        """Fingerprint with a per-(dataset, n, seed) memo.
+    def _memoized(self, request: AnonymizeRequest) -> tuple[str, int] | None:
+        """``(fingerprint, num_records)`` of a memoized registry triple.
 
-        The memo only short-circuits the hash for *registry-named*
-        tables, which are pure functions of ``(dataset, n, seed)``;
-        injected loaders that ignore the request (tests) bypass it by
-        keying on the loader identity being the default.
+        Only the default loader's tables are pure functions of
+        ``(dataset, n, seed)``; an injected loader may serve anything
+        under any name, so its requests never consult the memo.
         """
         if self.loader is not default_loader:
-            return table_fingerprint(table)
+            return None
         memo_key = (request.dataset, request.n, request.seed)
         with self._fp_lock:
-            cached = self._fingerprints.get(memo_key)
-        if cached is not None:
-            return cached
+            entry = self._fingerprints.get(memo_key)
+            if entry is not None:
+                self._fingerprints.move_to_end(memo_key)
+        return entry
+
+    def _fingerprint(self, request: AnonymizeRequest, table: Table) -> str:
+        """Hash a loaded table; remember a registry triple's result.
+
+        The fingerprint always hashes the full schema and rows (every
+        permissible subset included): the memo saves loading and hashing
+        a triple again, never any part of what the hash covers.
+        """
         fingerprint = table_fingerprint(table)
-        with self._fp_lock:
-            self._fingerprints[memo_key] = fingerprint
+        if self.loader is default_loader:
+            memo_key = (request.dataset, request.n, request.seed)
+            with self._fp_lock:
+                self._fingerprints[memo_key] = (fingerprint, table.num_records)
+                self._fingerprints.move_to_end(memo_key)
+                while len(self._fingerprints) > FINGERPRINT_MEMO_SIZE:
+                    self._fingerprints.popitem(last=False)
         return fingerprint

@@ -43,34 +43,8 @@ class EncodedAttribute:
         self.collection = collection
         n_nodes = collection.num_nodes
         m = collection.attribute.size
-
-        # Specialized collections (e.g. IntervalCollection, whose node
-        # count is quadratic in m) supply vectorized table builders.
-        if hasattr(collection, "build_join_table"):
-            self.join = np.asarray(
-                collection.build_join_table(), dtype=np.int32
-            )
-        else:
-            join = np.empty((n_nodes, n_nodes), dtype=np.int32)
-            for a in range(n_nodes):
-                join[a, a] = a
-                for b in range(a + 1, n_nodes):
-                    j = collection.join(a, b)
-                    join[a, b] = j
-                    join[b, a] = j
-            self.join = join
-
-        if hasattr(collection, "build_ancestor_table"):
-            self.anc = np.asarray(
-                collection.build_ancestor_table(), dtype=bool
-            )
-        else:
-            anc = np.zeros((m, n_nodes), dtype=bool)
-            for b in range(n_nodes):
-                for v in collection.node_indices(b):
-                    anc[v, b] = True
-            self.anc = anc
-
+        self.join = collection.build_join_table()
+        self.anc = collection.build_ancestor_table()
         self.sizes = np.array(
             [collection.node_size(b) for b in range(n_nodes)], dtype=np.int32
         )

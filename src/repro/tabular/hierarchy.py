@@ -19,13 +19,19 @@ collection is in.
 
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.errors import ClosureError, SchemaError
 from repro.tabular.attribute import Attribute
 
-if TYPE_CHECKING:  # numpy stays a lazy import for the fast-path builders
+if TYPE_CHECKING:  # numpy stays a lazy import for the table builders
     import numpy as np
+
+#: Cells of the (row block × node × node) "covers both" cube that one
+#: step of :meth:`SubsetCollection.build_join_table` materializes; the
+#: cube is boolean, so a block stays near this many bytes.
+_JOIN_BLOCK_CELLS = 1 << 22
 
 
 def _mask_of(indices: Iterable[int]) -> int:
@@ -66,6 +72,7 @@ class SubsetCollection:
         "_full_node",
         "_laminar",
         "_parent",
+        "_labels",
     )
 
     def __init__(self, attribute: Attribute, subsets: Iterable[Iterable[str]] = ()) -> None:
@@ -95,6 +102,7 @@ class SubsetCollection:
         self._full_node: int = len(nodes) - 1
         self._laminar = self._check_laminar()
         self._parent = self._compute_parents() if self._laminar else None
+        self._labels: list[str | None] = [None] * len(nodes)
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -200,6 +208,57 @@ class SubsetCollection:
         return self.closure_of_mask(self._masks[node_a] | self._masks[node_b])
 
     # ------------------------------------------------------------------ #
+    # lookup tables (the encoder's per-attribute arrays)
+    # ------------------------------------------------------------------ #
+
+    def _membership(self) -> np.ndarray:
+        """``bool[num_nodes, m]``: row b marks the value indices in node b."""
+        import numpy as np
+
+        rows = np.repeat(np.arange(len(self._nodes)), self._sizes)
+        cols = np.fromiter(
+            itertools.chain.from_iterable(self._nodes),
+            dtype=np.intp,
+            count=len(rows),
+        )
+        member = np.zeros((len(self._nodes), self._attribute.size), dtype=bool)
+        member[rows, cols] = True
+        return member
+
+    def build_join_table(self) -> np.ndarray:
+        """``int32[num_nodes, num_nodes]`` with ``[a, b] == join(a, b)``.
+
+        Node c *covers* node a when c ⊇ a.  The closure of a ∪ b is the
+        first node in canonical order that covers both (the scan of
+        :meth:`closure_of_mask`), and a is the first node covering
+        itself, so each row of the table is an argmax — the first True —
+        over a boolean "covers both" block.  Row blocks keep that cube
+        near ``_JOIN_BLOCK_CELLS`` bytes.
+        """
+        import numpy as np
+
+        member = self._membership().astype(np.float32)
+        # (member @ (1 - member).T)[a, c] counts the values of a that c
+        # lacks (small integer sums, exact in float32): c covers a
+        # exactly where it is zero.
+        covered_by = (member @ (1.0 - member).T) == 0
+        n = len(self._nodes)
+        step = max(1, _JOIN_BLOCK_CELLS // (n * n))
+        join = np.empty((n, n), dtype=np.int32)
+        for start in range(0, n, step):
+            block = covered_by[start : start + step]
+            join[start : start + step] = (
+                block[:, None, :] & covered_by[None, :, :]
+            ).argmax(axis=2)
+        return join
+
+    def build_ancestor_table(self) -> np.ndarray:
+        """``bool[m, num_nodes]`` with ``[v, b] == contains_value(b, v)``."""
+        import numpy as np
+
+        return np.ascontiguousarray(self._membership().T)
+
+    # ------------------------------------------------------------------ #
     # laminar structure
     # ------------------------------------------------------------------ #
 
@@ -281,7 +340,18 @@ class SubsetCollection:
 
         Singletons render as the bare value; contiguous integer ranges as
         ``lo-hi``; other subsets as ``{v1|v2|...}``; the full set as ``*``.
+        Each node renders once; later calls are a list lookup (a release
+        labels every cell, and cells repeat few nodes).
         """
+        label = self._labels[node]
+        if label is None:
+            # Racing first calls (server threads) render the same
+            # string, so whichever store lands last changes nothing.
+            label = self._labels[node] = self._render_label(node)
+        return label
+
+    def _render_label(self, node: int) -> str:
+        """The label of ``node``, rendered from its values (no memo)."""
         if node == self._full_node and self.num_nodes > 1:
             return "*"
         indices = sorted(self._nodes[node])
@@ -352,8 +422,8 @@ class IntervalCollection(SubsetCollection):
 
     The node count is quadratic (m·(m+1)/2 subsets), so this class
     bypasses the generic constructor's O(N²) laminarity scan and
-    supplies the encoder's fast join-table path; ``max_values`` guards
-    the quadratic tables.
+    overrides the table builders with span arithmetic; ``max_values``
+    guards the quadratic tables.
 
     The attribute's values must be integers in strictly increasing
     order (as :func:`repro.tabular.attribute.integer_attribute`
@@ -407,6 +477,7 @@ class IntervalCollection(SubsetCollection):
         self._num_values = m
         self._laminar = m <= 1  # overlapping intervals once m ≥ 2
         self._parent = self._compute_parents() if self._laminar else None
+        self._labels = [None] * len(intervals)
 
     @property
     def exact_joins(self) -> bool:
@@ -435,7 +506,7 @@ class IntervalCollection(SubsetCollection):
         return self._node_of_interval[(min(lo_a, lo_b), max(hi_a, hi_b))]
 
     def build_join_table(self) -> np.ndarray:
-        """Vectorized join table for the encoder's fast path."""
+        """Join table as spanning intervals: O(N²) lookups, no cube."""
         import numpy as np
 
         bounds = np.array(
@@ -452,7 +523,7 @@ class IntervalCollection(SubsetCollection):
         return index[lo, hi]
 
     def build_ancestor_table(self) -> np.ndarray:
-        """Vectorized value-in-node table for the encoder's fast path."""
+        """Value-in-node table from the interval bounds."""
         import numpy as np
 
         bounds = np.array(

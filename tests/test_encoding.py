@@ -3,34 +3,106 @@
 import numpy as np
 import pytest
 
+from repro.datasets import dataset_names, schema_of
 from repro.errors import SchemaError
 from repro.tabular.encoding import EncodedAttribute, EncodedTable
 from repro.tabular.hierarchy import SubsetCollection
 from repro.tabular.attribute import Attribute
 from repro.tabular.table import Schema, Table
+from repro.verify.generators import random_collection
+
+
+def _arbitrary_collection(seed: int) -> SubsetCollection:
+    """A seeded non-laminar collection of random subsets (overlaps and
+    equal-size covers, so closures depend on the canonical tie-break)."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(3, 9))
+    att = Attribute("x", [f"v{i}" for i in range(m)])
+    while True:
+        sizes = rng.integers(2, m, size=int(rng.integers(2, 3 * m)))
+        subsets = [
+            [att.values[i] for i in rng.choice(m, int(size), replace=False)]
+            for size in sizes
+        ]
+        coll = SubsetCollection(att, subsets)
+        if not coll.is_laminar:
+            return coll
+
+
+#: Collection families the table oracle covers: every collection of the
+#: paper's datasets, the fuzzer's collections and arbitrary non-laminar ones.
+TABLE_FAMILIES = {
+    "hand-built": lambda: [
+        SubsetCollection(
+            Attribute("x", ["a", "b", "c", "d"]), [["a", "b"], ["c", "d"]]
+        ),
+        SubsetCollection(Attribute("x", ["a", "b", "c"]), [["a", "b"]]),
+    ],
+    **{
+        name: (lambda name=name: list(schema_of(name).collections))
+        for name in dataset_names()
+    },
+    "fuzz": lambda: [
+        random_collection(np.random.default_rng(seed), "a") for seed in range(400)
+    ],
+    "non-laminar": lambda: [_arbitrary_collection(seed) for seed in range(200)],
+}
+
+
+def _first_cover_tie(coll: SubsetCollection) -> bool:
+    """Whether some join has two minimum-size covering nodes."""
+    n = coll.num_nodes
+    for a in range(n):
+        for b in range(a + 1, n):
+            union = coll.node_indices(a) | coll.node_indices(b)
+            covers = [c for c in range(n) if union <= coll.node_indices(c)]
+            best = min(coll.node_size(c) for c in covers)
+            if sum(coll.node_size(c) == best for c in covers) > 1:
+                return True
+    return False
 
 
 class TestEncodedAttribute:
-    def test_join_table_matches_collection(self):
-        att = Attribute("x", ["a", "b", "c", "d"])
-        coll = SubsetCollection(att, [["a", "b"], ["c", "d"]])
-        enc = EncodedAttribute(coll)
-        for i in range(coll.num_nodes):
-            for j in range(coll.num_nodes):
-                assert enc.join[i, j] == coll.join(i, j)
+    @pytest.mark.parametrize("family", sorted(TABLE_FAMILIES))
+    def test_join_table_matches_collection(self, family):
+        # The per-pair loop is the oracle: byte-identical values, dtype
+        # and layout against SubsetCollection.join on every pair.
+        for coll in TABLE_FAMILIES[family]():
+            enc = EncodedAttribute(coll)
+            n = coll.num_nodes
+            expected = np.empty((n, n), dtype=np.int32)
+            for a in range(n):
+                for b in range(n):
+                    expected[a, b] = coll.join(a, b)
+            assert enc.join.dtype == np.int32, coll
+            assert enc.join.shape == (n, n), coll
+            assert enc.join.flags.c_contiguous, coll
+            assert enc.join.tobytes() == expected.tobytes(), coll
 
-    def test_ancestor_table(self):
-        att = Attribute("x", ["a", "b", "c"])
-        coll = SubsetCollection(att, [["a", "b"]])
-        enc = EncodedAttribute(coll)
-        ab = coll.node_of_values(["a", "b"])
-        assert enc.anc[att.index_of("a"), ab]
-        assert enc.anc[att.index_of("b"), ab]
-        assert not enc.anc[att.index_of("c"), ab]
-        # Every value is in its singleton and in the full set.
-        for v in range(3):
-            assert enc.anc[v, enc.singleton[v]]
-            assert enc.anc[v, enc.full_node]
+    @pytest.mark.parametrize("family", sorted(TABLE_FAMILIES))
+    def test_ancestor_table(self, family):
+        for coll in TABLE_FAMILIES[family]():
+            enc = EncodedAttribute(coll)
+            m, n = coll.attribute.size, coll.num_nodes
+            expected = np.array(
+                [[coll.contains_value(b, v) for b in range(n)] for v in range(m)],
+                dtype=bool,
+            ).reshape(m, n)
+            assert enc.anc.dtype == np.bool_, coll
+            assert enc.anc.shape == (m, n), coll
+            assert enc.anc.flags.c_contiguous, coll
+            assert enc.anc.tobytes() == expected.tobytes(), coll
+            # Every value is in its singleton and in the full set.
+            for v in range(m):
+                assert enc.anc[v, enc.singleton[v]]
+                assert enc.anc[v, enc.full_node]
+
+    def test_non_laminar_family_exercises_the_tie_break(self):
+        # Guards the oracle against vacuity: on most of these
+        # collections a join has two minimum-size covers, so only the
+        # first-in-canonical-order rule yields the expected table.
+        ties = sum(map(_first_cover_tie, TABLE_FAMILIES["non-laminar"]()))
+        assert ties >= 100
 
     def test_sizes(self):
         att = Attribute("x", ["a", "b", "c"])

@@ -1,15 +1,19 @@
 """Unit tests for permissible-subset collections and hierarchies."""
 
+import numpy as np
 import pytest
 
+from repro.datasets import dataset_names, schema_of
 from repro.errors import ClosureError, SchemaError
 from repro.tabular.attribute import Attribute, integer_attribute
 from repro.tabular.hierarchy import (
     SubsetCollection,
+    all_intervals,
     from_groups,
     interval_hierarchy,
     suppression_only,
 )
+from repro.verify.generators import random_collection
 
 
 @pytest.fixture
@@ -185,6 +189,46 @@ class TestNodeLabels:
         coll = interval_hierarchy(att, 5)
         node = coll.node_of_values([str(v) for v in range(10, 15)])
         assert coll.node_label(node) == "10-14"
+
+
+    def test_memo_matches_fresh_rendering_and_renders_once(self, monkeypatch):
+        rendered = []
+        render = SubsetCollection._render_label
+
+        def counting_render(self, node):
+            rendered.append(node)
+            return render(self, node)
+
+        monkeypatch.setattr(SubsetCollection, "_render_label", counting_render)
+        collections = [
+            *(c for name in dataset_names() for c in schema_of(name).collections),
+            all_intervals(integer_attribute("age", 20, 49)),  # m = 30
+            *(random_collection(np.random.default_rng(s), "a") for s in range(400)),
+        ]
+        for coll in collections:
+            rendered.clear()
+            nodes = range(coll.num_nodes)
+            first = [coll.node_label(b) for b in reversed(nodes)][::-1]
+            again = [coll.node_label(b) for b in nodes]
+            assert first == [_fresh_label(coll, b) for b in nodes], coll
+            assert all(x is y for x, y in zip(first, again)), coll
+            assert sorted(rendered) == list(nodes), coll
+
+
+def _fresh_label(coll, node):
+    """The label rules of ``node_label``, rendered from scratch."""
+    if node == coll.full_node and coll.num_nodes > 1:
+        return "*"
+    values = [coll.attribute.values[i] for i in sorted(coll.node_indices(node))]
+    if len(values) == 1:
+        return values[0]
+    try:
+        ints = [int(v) for v in values]
+    except ValueError:
+        ints = []
+    if ints and ints == list(range(ints[0], ints[0] + len(ints))):
+        return f"{ints[0]}-{ints[-1]}"
+    return "{" + "|".join(values) + "}"
 
 
 class TestConstructors:

@@ -10,6 +10,7 @@ subprocess SIGKILL drill in ``tools/serve_smoke.py`` (CI).
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -26,6 +27,7 @@ from repro.obs import (
 from repro.runtime import FaultPlan, Journal, fault_scope
 from repro.runtime.fallback import DEFAULT_CHAIN, run_with_fallback
 from repro.runtime.retry import RetryPolicy
+from repro.serve import service as service_module
 from repro.serve import (
     AdmissionGate,
     AnonymizationService,
@@ -556,6 +558,131 @@ class TestService:
         assert stats["inflight"] == 0
         assert stats["breaker"] == "closed"
         assert stats["cached_bodies"] == 1
+
+
+# --------------------------------------------------------------------- #
+# load-free cache hits (the bounded fingerprint memo)
+# --------------------------------------------------------------------- #
+
+
+class TestLoadFreeHits:
+    """A registry triple's fingerprint and size are memoized, so a hit
+    on it never regenerates the dataset; injected loaders bypass that."""
+
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        calls = []
+        load = service_module.load_dataset
+
+        def counting_load(*args, **kwargs):
+            calls.append(args)
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "load_dataset", counting_load)
+        return calls
+
+    def test_hit_loads_nothing_and_serves_the_miss_body(self, loads):
+        service = _service()
+        miss = service.handle(_request())
+        assert len(loads) == 1 and not miss["meta"]["cache_hit"]
+        hit = service.handle(_request())
+        assert hit["meta"]["cache_hit"]
+        assert len(loads) == 1
+        assert canonical_body(hit) == canonical_body(miss)
+        # A miss on a memoized triple still loads, but hashes nothing new.
+        other = service.handle(_request(k=3))
+        assert not other["meta"]["cache_hit"] and len(loads) == 2
+
+    def test_k_above_n_on_a_memoized_triple_is_the_same_400(self, loads):
+        fresh = _service().handle(_request(k=100))
+        service = _service()
+        service.handle(_request())
+        loaded = len(loads)
+        memoized = service.handle(_request(k=100))
+        assert len(loads) == loaded  # rejected from the memo, unloaded
+        assert http_status(memoized) == http_status(fresh) == 400
+        assert {k: v for k, v in memoized.items() if k != "meta"} == {
+            k: v for k, v in fresh.items() if k != "meta"
+        }
+
+    def test_injected_loader_runs_on_every_request(self, loads):
+        calls = []
+
+        def loader(request):
+            calls.append(request)
+            return default_loader(request)
+
+        service = _service(loader=loader)
+        first = service.handle(_request())
+        second = service.handle(_request())
+        assert second["meta"]["cache_hit"]
+        assert canonical_body(first) == canonical_body(second)
+        assert len(calls) == len(loads) == 2
+
+    def test_evicted_triple_reloads_to_the_same_fingerprint(
+        self, loads, monkeypatch
+    ):
+        monkeypatch.setattr(service_module, "FINGERPRINT_MEMO_SIZE", 2)
+        service = _service()
+        for n in (30, 31, 32):  # the n=30 triple falls out of the memo
+            assert service.handle(_request(n=n))["status"] == "ok"
+        assert len(loads) == 3
+        service.refresh_health_gauges()
+        gauges = service.registry.snapshot()["gauges"]
+        assert gauges["serve.cache.fingerprints"] == 2.0
+        again = service.handle(_request(n=30))
+        assert len(loads) == 4  # evicted: loaded and hashed again...
+        assert again["meta"]["cache_hit"]  # ...to the same cache key
+        assert service.handle(_request(n=32))["meta"]["cache_hit"]
+        assert len(loads) == 4
+
+    def test_memo_stays_bounded_under_racing_threads(self, monkeypatch):
+        monkeypatch.setattr(service_module, "FINGERPRINT_MEMO_SIZE", 2)
+        service = _service(
+            config=ServiceConfig(
+                retry=_FAST_RETRY, max_inflight=8, max_queue=64
+            )
+        )
+        envelopes = []
+
+        def client(i):
+            envelopes.append((i % 4, service.handle(_request(n=30 + i % 4))))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=client, args=(i,)) for i in range(16)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(envelopes) == 16
+        assert all(env["status"] == "ok" for _, env in envelopes)
+        for n in range(4):  # every answer for one triple is one body
+            bodies = {canonical_body(env) for m, env in envelopes if m == n}
+            assert len(bodies) == 1
+        service.refresh_health_gauges()
+        gauges = service.registry.snapshot()["gauges"]
+        assert gauges["serve.cache.fingerprints"] == 2.0
+
+    def test_memo_size_is_a_metricz_gauge(self):
+        service = _service()
+        server, base = _serve_in_thread(service)
+        try:
+            for n in (30, 31):
+                status, _ = _http_post(base, _request(n=n))
+                assert status == 200
+            status, _, body = _http_get(base + "/metricz")
+            assert status == 200
+            assert json.loads(body)["gauges"]["serve.cache.fingerprints"] == 2.0
+        finally:
+            server.shutdown()
+            server.server_close()
 
 
 # --------------------------------------------------------------------- #

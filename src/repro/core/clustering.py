@@ -110,11 +110,49 @@ def clustering_to_nodes(enc: EncodedTable, clustering: Clustering) -> np.ndarray
             f"{enc.num_records}"
         )
     node_matrix = np.empty((enc.num_records, enc.num_attributes), dtype=np.int32)
-    # repro: allow[REP011] single O(n) encode pass per finished clustering
-    for cluster in clustering.clusters:
-        closure = enc.closure_of_records(cluster)
-        node_matrix[list(cluster)] = closure
+    if clustering.num_clusters:
+        closures = cluster_closures(enc, clustering.clusters)
+        node_matrix[np.concatenate(clustering.clusters)] = np.repeat(
+            closures, clustering.sizes(), axis=0
+        )
     return node_matrix
+
+
+def cluster_closures(
+    enc: EncodedTable, clusters: Sequence[Sequence[int]]
+) -> np.ndarray:
+    """Closure nodes ``int32[m, r]`` of every (non-empty) cluster.
+
+    Under :attr:`~repro.tabular.encoding.EncodedTable.exact_joins` a
+    closure is the join fold of its members' singleton nodes, so all
+    clusters are folded together, one member column at a time: clusters
+    sorted by size, longest first, so column c is a prefix of them, and
+    one ``join_rows`` per column.  The node of a fold is the node
+    :meth:`~repro.tabular.encoding.EncodedTable.closure_of_records`
+    returns, which is what every other collection gets, per cluster.
+    """
+    m, r = len(clusters), enc.num_attributes
+    out = np.empty((m, r), dtype=np.int32)
+    if not enc.exact_joins:
+        # repro: allow[REP011] one closure per finished cluster, O(n) records in all
+        for i, cluster in enumerate(clusters):
+            out[i] = enc.closure_of_records(cluster)
+        return out
+    if not m:
+        return out
+    sizes = np.fromiter(map(len, clusters), dtype=np.int64, count=m)
+    order = np.argsort(-sizes, kind="stable")
+    members = np.concatenate([np.asarray(clusters[i], dtype=np.int64) for i in order])
+    longest = sizes[order]
+    starts = np.cumsum(longest) - longest
+    singles = enc.singleton_nodes
+    nodes = singles[members[starts]]
+    # repro: allow[REP011] one join per member column, O(n) lookups in all
+    for c in range(1, int(longest[0])):
+        live = int(np.searchsorted(-longest, -c))  # clusters longer than c
+        nodes[:live] = enc.join_rows(nodes[:live], singles[members[starts[:live] + c]])
+    out[order] = nodes
+    return out
 
 
 def clustering_cost(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.clustering import Clustering
+from repro.core.clustering import Clustering, cluster_closures
 from repro.errors import AnonymityError
 from repro.measures.base import CostModel
 from repro.runtime import checkpoint
@@ -86,9 +86,7 @@ def kmember_clustering(model: CostModel, k: int) -> Clustering:
     if leftover and not clusters:  # pragma: no cover - excluded by k ≤ n
         raise AnonymityError("internal error: no cluster to absorb leftovers")
     if leftover:
-        closure_nodes = np.array(
-            [enc.closure_of_records(c) for c in clusters], dtype=np.int32
-        )
+        closure_nodes = cluster_closures(enc, clusters)
         closure_costs = np.asarray(
             model.record_cost(closure_nodes), dtype=np.float64
         )

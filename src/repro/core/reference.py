@@ -1,20 +1,14 @@
 """Slow reference implementations, for differential testing.
 
 The production agglomerative engine (:mod:`repro.core.agglomerative`)
-earns its O(n²) bound with cached closures, a pairwise distance matrix
-and per-row minima — exactly the machinery where subtle staleness bugs
-live.  This module re-implements Algorithm 1/2 *literally*: plain
-Python lists of clusters, closures recomputed from scratch, a full pair
-scan per merge, no caching anywhere.  The test suite runs both on the
-same inputs and demands identical results.
-
-One honest caveat: when two pairs are at *exactly* the same distance,
-the two implementations may merge different pairs (the cached engine's
-argmin semantics depend on update order), and either choice is a
-correct execution of Algorithm 1.  The reference therefore reports
-whether any exact tie influenced a decision; the differential tests
-compare outcomes only for tie-free runs and fall back to
-invariant-level checks otherwise.
+earns its O(n²) bound with cached closures, a pairwise distance matrix,
+per-row minima and batched repairs — exactly the machinery where subtle
+staleness bugs live.  :func:`reference_agglomerative` transcribes the
+merge order that module's docstring specifies *literally*: a list of n
+optional clusters and a last-in first-out free list, closures and costs
+recomputed from scratch on every iteration, and a full scan of the
+pairs ``a < b`` with a strict ``<``, so the first least pair wins.  The
+engine must reproduce it exactly, ties included.
 
 The (k,1)/(1,k) family gets the same treatment:
 :func:`reference_k1_nearest`, :func:`reference_k1_expansion`,
@@ -33,8 +27,6 @@ outside tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.core.clustering import Clustering
@@ -45,32 +37,50 @@ from repro.matching.allowed import allowed_edges
 from repro.measures.base import CostModel
 from repro.tabular.encoding import EncodedTable
 
-#: Two distances closer than this are treated as an exact tie.
-_TIE_EPS = 1e-12
 
-
-@dataclass(frozen=True)
-class ReferenceRun:
-    """Outcome of one reference execution."""
-
-    clustering: Clustering
-    had_ties: bool  #: whether any merge decision involved an exact tie
-
-
-def _dist(
+def _values(
     model: CostModel,
     distance: ClusterDistance,
     cluster_a: list[int],
-    cluster_b: list[int],
-) -> float:
-    cost_a = model.cluster_cost(cluster_a)
-    cost_b = model.cluster_cost(cluster_b)
-    cost_union = model.cluster_cost(cluster_a + cluster_b)
-    return float(
+    clusters_b: list[list[int]],
+) -> np.ndarray:
+    """``dist(A, B)`` for each B, with A as the A side: every cost is
+    the record cost of a closure, and a union is priced at the join of
+    the two closures."""
+    enc = model.enc
+    closure_a = enc.closure_of_records(cluster_a)
+    closures_b = np.array([enc.closure_of_records(b) for b in clusters_b])
+    return np.asarray(
         distance.evaluate(
-            len(cluster_a), cost_a, len(cluster_b), cost_b, cost_union
-        )
+            len(cluster_a),
+            model.record_cost(closure_a),
+            np.array([len(b) for b in clusters_b]),
+            model.record_cost(closures_b),
+            model.record_cost(enc.join_rows(closures_b, closure_a)),
+        ),
+        dtype=np.float64,
     )
+
+
+def _least_pair(
+    model: CostModel,
+    distance: ClusterDistance,
+    slots: list[list[int] | None],
+) -> tuple[int, int]:
+    """Line 4: the live slots a < b of least ``dist(a, b)``, the lower
+    slot as A; the strict ``<`` keeps the first, i.e. lowest, least pair."""
+    live = [(s, cluster) for s, cluster in enumerate(slots) if cluster is not None]
+    best: tuple[float, int, int] | None = None
+    for i, (a, cluster_a) in enumerate(live):
+        later = live[i + 1 :]
+        if not later:
+            continue
+        values = _values(model, distance, cluster_a, [c for _, c in later])
+        for (b, _), d in zip(later, values):
+            if best is None or d < best[0]:
+                best = (d, a, b)
+    assert best is not None
+    return best[1], best[2]
 
 
 def reference_agglomerative(
@@ -78,66 +88,48 @@ def reference_agglomerative(
     k: int,
     distance: ClusterDistance,
     modified: bool = False,
-) -> ReferenceRun:
-    """Algorithm 1 (and 2 with ``modified=True``), transcribed literally."""
+) -> Clustering:
+    """Algorithm 1 (and 2 with ``modified=True``) in the slot model of
+    :mod:`repro.core.agglomerative`, transcribed literally."""
     n = model.enc.num_records
     if n == 0:
         raise AnonymityError("cannot anonymize an empty table")
     if k > n:
         raise AnonymityError(f"k={k} exceeds the number of records n={n}")
     if k <= 1:
-        return ReferenceRun(
-            Clustering(n, [[i] for i in range(n)]), had_ties=False
-        )
+        return Clustering(n, [[i] for i in range(n)])
 
-    clusters: list[list[int]] = [[i] for i in range(n)]
+    slots: list[list[int] | None] = [[i] for i in range(n)]
+    free: list[int] = []
     output: list[list[int]] = []
-    had_ties = False
+    while sum(cluster is not None for cluster in slots) > 1:
+        a, b = _least_pair(model, distance, slots)
+        merged = slots[a] + slots[b]  # type: ignore[operator]
+        slots[b] = None
+        free.append(b)
+        if len(merged) < k:
+            slots[a] = merged
+            continue
+        expelled: list[int] = []
+        if modified and len(merged) > k:
+            merged, expelled = _shrink(model, distance, merged, k)
+        output.append(merged)
+        slots[a] = None
+        free.append(a)
+        for record in expelled:
+            slots[free.pop()] = [record]
 
-    while len(clusters) > 1:
-        best = None  # (dist, index_a, index_b)
-        for a in range(len(clusters)):
-            for b in range(len(clusters)):
-                if a == b:
-                    continue
-                d = _dist(model, distance, clusters[a], clusters[b])
-                if best is None or d < best[0] - _TIE_EPS:
-                    best = (d, a, b)
-                elif best is not None and abs(d - best[0]) <= _TIE_EPS and (
-                    (a, b) != (best[1], best[2])
-                ):
-                    had_ties = True
-        assert best is not None
-        _, a, b = best
-        merged = clusters[a] + clusters[b]
-        for idx in sorted((a, b), reverse=True):
-            del clusters[idx]
-        if len(merged) >= k:
-            if modified and len(merged) > k:
-                merged, expelled, shrink_ties = _shrink(
-                    model, distance, merged, k
-                )
-                had_ties = had_ties or shrink_ties
-            else:
-                expelled = []
-            output.append(merged)
-            clusters.extend([record] for record in expelled)
-        else:
-            clusters.append(merged)
-
-    if clusters:
-        (leftover,) = clusters
+    for leftover in slots:
+        if leftover is None:
+            continue
         for record in leftover:
-            best_t = None
-            for t, cluster in enumerate(output):
-                d = _dist(model, distance, [record], cluster)
-                if best_t is None or d < best_t[0] - _TIE_EPS:
-                    best_t = (d, t)
-                elif best_t is not None and abs(d - best_t[0]) <= _TIE_EPS:
-                    had_ties = True
-            assert best_t is not None
-            output[best_t[1]].append(record)
-    return ReferenceRun(Clustering(n, output), had_ties=had_ties)
+            values = _values(model, distance, [record], output)
+            best_t = 0
+            for t, d in enumerate(values):
+                if d < values[best_t]:
+                    best_t = t
+            output[best_t].append(record)
+    return Clustering(n, output)
 
 
 def _shrink(
@@ -145,10 +137,11 @@ def _shrink(
     distance: ClusterDistance,
     members: list[int],
     k: int,
-) -> tuple[list[int], list[int], bool]:
+) -> tuple[list[int], list[int]]:
+    """Algorithm 2: expel the first member of greatest
+    ``dist(S, S ∖ {R_i})`` until k remain."""
     kept = list(members)
     expelled: list[int] = []
-    had_ties = False
     while len(kept) > k:
         size = len(kept)
         cost_full = model.cluster_cost(kept)
@@ -161,12 +154,10 @@ def _shrink(
                     cost_full,
                 )
             )
-            if d_i > best_d + _TIE_EPS:
+            if d_i > best_d:
                 best_i, best_d = i, d_i
-            elif abs(d_i - best_d) <= _TIE_EPS and i != best_i:
-                had_ties = True
         expelled.append(kept.pop(best_i))
-    return kept, expelled, had_ties
+    return kept, expelled
 
 
 # ---------------------------------------------------------------------- #

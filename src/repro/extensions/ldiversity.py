@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.clustering import Clustering
+from repro.core.clustering import Clustering, cluster_closures
 from repro.core.distances import ClusterDistance
 from repro.errors import AnonymityError, SchemaError
 from repro.measures.base import CostModel
@@ -208,9 +208,7 @@ def enforce_l_diversity(
         if not deficient:
             break
         ci = min(deficient, key=lambda idx: (score(clusters[idx]), idx))
-        nodes = np.array(
-            [enc.closure_of_records(c) for c in clusters], dtype=np.int32
-        )
+        nodes = cluster_closures(enc, clusters)
         sizes = np.array([len(c) for c in clusters], dtype=np.int64)
         costs = np.asarray(model.record_cost(nodes), dtype=np.float64)
         union = enc.join_rows(nodes, nodes[ci])

@@ -11,9 +11,9 @@ executes all of them on one fuzz instance and demands:
   its target notion (:mod:`repro.verify.invariants`);
 * every output sits correctly in the Prop. 4.5 containment lattice;
 * the optimized agglomerative engine reproduces the literal
-  :mod:`repro.core.reference` transcription exactly on tie-free runs
-  (invariant-only checks otherwise — either tie choice is a correct
-  Algorithm 1 execution);
+  :mod:`repro.core.reference` transcription of its specified merge
+  order exactly — the same cluster lists, in the same order, ties
+  included;
 * Algorithms 3–6 reproduce their literal transcriptions byte for byte,
   ties included, and the consistency graph of the (k,k) output matches
   the per-record reference adjacency and right degrees;
@@ -231,19 +231,15 @@ def get_algorithm(name: str) -> AlgorithmSpec:
     )
 
 
-def _canonical(clustering: Clustering) -> list[tuple[int, ...]]:
-    return sorted(tuple(sorted(c)) for c in clustering.clusters)
-
-
 def compare_with_reference(
     model: CostModel, cfg: InstanceConfig
 ) -> list[Violation]:
     """The optimized agglomerative engine vs the literal transcription.
 
-    On tie-free runs the clusterings must be identical.  When an exact
-    distance tie influenced any reference decision, either choice is a
-    correct Algorithm 1/2 execution, so only the k-anonymity invariant
-    is demanded of both.
+    The merge order is a total order (see
+    :mod:`repro.core.agglomerative`), so the two must produce the same
+    cluster lists — output order and member order included — on every
+    run, ties included.
     """
     distance = get_distance(cfg.distance)
     try:
@@ -260,33 +256,16 @@ def compare_with_reference(
                 f"{type(exc).__name__}: {exc}",
             )
         ]
-    out: list[Violation] = []
-    floor = min(cfg.k, model.enc.num_records)
-    for name, clustering in (
-        ("reference", reference.clustering),
-        ("production", production),
-    ):
-        if clustering.min_cluster_size() < floor:
-            out.append(
-                Violation(
-                    "differential.cluster-size",
-                    f"{name} agglomerative produced a cluster smaller "
-                    f"than k={cfg.k}",
-                )
-            )
-    if not reference.had_ties and _canonical(production) != _canonical(
-        reference.clustering
-    ):
-        out.append(
-            Violation(
-                "differential.agglomerative",
-                f"tie-free run (k={cfg.k}, {cfg.distance}, "
-                f"modified={cfg.modified}) but engine and reference "
-                f"clusterings differ: {_canonical(production)} vs "
-                f"{_canonical(reference.clustering)}",
-            )
+    if production.clusters == reference.clusters:
+        return []
+    return [
+        Violation(
+            "differential.agglomerative",
+            f"k={cfg.k}, {cfg.distance}, modified={cfg.modified}: engine "
+            f"and reference clusterings differ: {list(production.clusters)} "
+            f"vs {list(reference.clusters)}",
         )
-    return out
+    ]
 
 
 def check_api_end_to_end(instance: Instance) -> list[Violation]:

@@ -1,12 +1,13 @@
 """White-box tests for the agglomerative engine's internal machinery.
 
-The slot recycling, matrix maintenance and row-minimum caching are the
-engine's riskiest parts; these tests drive the private `_Engine` state
-directly on small inputs where every invariant can be checked against a
-brute-force recomputation.  The blocked all-pairs init is checked bit
-for bit against the one-shot n×n broadcast it replaced, the join-folded
-merge closure against ``closure_of_records``, and paper-size outputs
-against SHA-256 pins.
+The slot recycling, matrix maintenance, column compaction and
+row-minimum caching are the engine's riskiest parts; these tests drive
+the private `_Engine` state directly on small inputs where every
+invariant can be checked, bit for bit, against a from-scratch
+recomputation of the specified pair values.  The blocked all-pairs init
+is checked bit for bit against the one-shot n×n broadcast it replaced,
+the join-folded merge closure against ``closure_of_records``, and
+paper-size outputs against SHA-256 pins.
 """
 
 import hashlib
@@ -38,20 +39,65 @@ def engine():
     return _Engine(model, get_distance("d3"), k=3)
 
 
-def _check_matrix_invariants(eng):
-    """Cached minima are never stale-high; matrix matches fresh distances.
+def _fresh_values(eng):
+    """``dist(a, b)`` of every pair of active slots, from scratch: each
+    cost the record cost of the members' closure, each union priced at
+    the join of the two closures, the lower slot as A.  Returns the
+    active slots and the ``[m, m]`` values (inf on the diagonal)."""
+    enc, model = eng.enc, eng.model
+    act = np.flatnonzero(eng.active)
+    closures = np.array(
+        [enc.closure_of_records(eng.members[s]) for s in act], dtype=np.int32
+    ).reshape(act.size, enc.num_attributes)
+    costs = np.asarray(model.record_cost(closures), dtype=np.float64)
+    sizes = np.array([len(eng.members[s]) for s in act])
+    m = act.size
+    values = np.full((m, m), np.inf)
+    for i in range(m):
+        for j in range(i + 1, m):
+            union = model.record_cost(enc.join_rows(closures[i], closures[j]))
+            d = eng.distance.evaluate(
+                sizes[i], costs[i], sizes[j], costs[j], union
+            )
+            values[i, j] = values[j, i] = d
+    return act, values
 
-    The lazy scheme allows ``row_min`` to be stale-LOW (pointing at a
-    dead or changed partner) — that is validated at pop time — but a
-    cached minimum above the true row minimum would lose merges.
+
+def _check_matrix_invariants(eng):
+    """The engine's invariants, exactly.
+
+    Active-pair entries are the fresh lower-slot-oriented values bit for
+    bit; every active row that is not stale caches its first-index
+    minimum over the active slots, and a stale row a lower bound of it.
+    (A lone active slot has no pair, so no argument to check.)
     """
-    active = np.flatnonzero(eng.active)
-    for x in active:
-        row = eng.matrix[x]
-        assert eng.row_min[x] <= row.min() + 1e-12
-        fresh = eng._distances_from(int(x))
-        finite = np.isfinite(fresh)
-        assert np.allclose(row[finite], fresh[finite])
+    act, values = _fresh_values(eng)
+    assert eng.alive == act.size
+    if not act.size:
+        return
+    stored = eng.matrix[np.ix_(act, eng.pos[act])]
+    assert stored.tobytes() == values.tobytes()
+    first = values.argmin(axis=1)
+    least = values[np.arange(act.size), first]
+    for i, slot in enumerate(act):
+        if eng.stale[slot]:
+            assert eng.row_min[slot] <= least[i]
+        else:
+            assert eng.row_min[slot].tobytes() == least[i].tobytes()
+            assert act.size == 1 or eng.row_arg[slot] == act[first[i]]
+    assert np.array_equal(eng.penalty == 0, eng.active[eng.cols])
+    assert (eng.pos[eng.cols] == np.arange(eng.cols.size)).all()
+
+
+class _InvariantCheckedEngine(_Engine):
+    """Checks every invariant after every merge of a full run."""
+
+    checked = 0
+
+    def _merge(self, x, y, modified):
+        super()._merge(x, y, modified)
+        _check_matrix_invariants(self)
+        self.checked += 1
 
 
 class TestEngineInternals:
@@ -62,40 +108,59 @@ class TestEngineInternals:
         assert (engine.sizes == 1).all()
         assert np.allclose(engine.costs, 0.0)
         assert not np.isfinite(np.diag(engine.matrix)).any()
+        assert not engine.stale.any()
         _check_matrix_invariants(engine)
 
     def test_matrix_symmetric(self, engine):
-        finite = np.isfinite(engine.matrix)
-        assert (finite == finite.T).all()
-        sym = engine.matrix[finite]
-        assert np.allclose(sym, engine.matrix.T[finite])
+        assert engine.matrix.tobytes() == engine.matrix.T.tobytes()
 
     def test_invariants_survive_merges(self, engine):
-        # Drive a few merge steps by hand and re-check everything.
-        for _ in range(4):
+        # Drive merge steps by hand, compacting once midway, and
+        # re-check everything after each.
+        steps = 0
+        while engine.alive > 1:
             pair = engine._pop_closest_pair()
             assert pair is not None
-            x, y = pair
-            merged = engine.members[x] + engine.members[y]
-            engine.members[y] = None
-            engine._deactivate(y)
-            engine.members[x] = merged
-            engine.nodes[x] = engine.enc.closure_of_records(merged)
-            engine.sizes[x] = len(merged)
-            engine.costs[x] = float(engine.model.record_cost(engine.nodes[x]))
-            engine._refresh_row(x)
+            engine._merge(*pair, modified=False)
+            steps += 1
+            if steps == 3:
+                engine._compact()
+                assert engine.cols.size == engine.alive
             _check_matrix_invariants(engine)
+        assert steps > 3
+
+    @pytest.mark.parametrize("rows_per_block", [None, 1])
+    @pytest.mark.parametrize("distance", distance_names())
+    @pytest.mark.parametrize("seed", range(4))
+    def test_invariants_hold_through_full_runs(
+        self, monkeypatch, seed, distance, rows_per_block
+    ):
+        # Modified runs expel records into recycled slots, some of them
+        # compacted away (the matrix then widens), so every path of the
+        # engine is checked; one row per block makes each compaction
+        # move rows one at a time, the order that keeps them intact.
+        if rows_per_block is not None:
+            monkeypatch.setattr(agglomerative_module, "_BLOCK_CELLS", 1)
+        table = make_random_table(24, seed=seed, domain_sizes=(4, 3))
+        model = CostModel(EncodedTable(table), EntropyMeasure())
+        eng = _InvariantCheckedEngine(model, get_distance(distance), 5)
+        eng.run(True)
+        assert eng.checked > 0
+
+    def test_pop_closest_pair_is_lowest_least_pair(self, engine):
+        while engine.alive > 1:
+            act, values = _fresh_values(engine)
+            i, j = np.unravel_index(values.argmin(), values.shape)
+            assert engine._pop_closest_pair() == (act[i], act[j])
+            engine._merge(act[i], act[j], modified=False)
 
     def test_pop_closest_pair_is_true_minimum(self, engine):
         pair = engine._pop_closest_pair()
         assert pair is not None
         x, y = pair
-        best = engine.matrix[x, y]
-        active = np.flatnonzero(engine.active)
-        for a in active:
-            fresh = engine._distances_from(int(a))
-            finite = np.isfinite(fresh)
-            assert best <= fresh[finite].min() + 1e-12
+        assert x < y
+        _, values = _fresh_values(engine)
+        assert engine.matrix[x, engine.pos[y]] == values.min()
 
     def test_slot_recycling_on_shrink(self):
         table = make_random_table(15, seed=11, domain_sizes=(6, 3))
@@ -108,20 +173,41 @@ class TestEngineInternals:
         assert seen == list(range(15))
 
     def test_add_singleton_restores_invariants(self, engine):
-        # Simulate an expulsion: deactivate a slot, then re-add a record.
-        engine.members[5] = None
-        engine._deactivate(5)
-        engine._add_singleton(5)
-        assert engine.active[5]
-        assert engine.members[5] == [5]
+        # A ripe merge frees both slots; expelled records take them back
+        # last freed first.
+        x, y = engine._pop_closest_pair()
+        engine.members[y] = None
+        engine._deactivate(y)
+        engine.members[x] = None
+        engine._deactivate(x)
+        engine.stale |= (engine.row_arg == x) | (engine.row_arg == y)
+        engine._add_singleton(y)
+        engine._add_singleton(x)
+        assert engine.members[x] == [y] and engine.members[y] == [x]
+        assert engine.active[x] and engine.active[y]
         _check_matrix_invariants(engine)
 
-    def test_deactivate_poisons_row_and_column(self, engine):
+    def test_deactivate_masks_slot(self, engine):
+        before = engine.matrix.copy()
         engine._deactivate(3)
-        assert not np.isfinite(engine.matrix[3]).any()
-        assert not np.isfinite(engine.matrix[:, 3]).any()
+        assert not engine.active[3]
+        assert engine.penalty[engine.pos[3]] == np.inf
         assert engine.row_min[3] == np.inf
-        assert 3 in engine.free_slots
+        assert engine.row_arg[3] == -1
+        assert engine.free_slots == [3]
+        # No matrix write: the mask alone retires the slot.
+        assert engine.matrix.tobytes() == before.tobytes()
+
+    def test_compact_keeps_active_columns_in_slot_order(self, engine):
+        for slot in (0, 4, 5, 9):
+            engine._deactivate(slot)
+        act = np.flatnonzero(engine.active)
+        before = engine.matrix[np.ix_(act, act)].copy()
+        engine._compact()
+        assert np.array_equal(engine.cols, act)
+        assert engine.matrix.shape == (engine.enc.num_records, act.size)
+        assert engine.matrix[act].tobytes() == before.tobytes()
+        assert np.shares_memory(engine.matrix, engine._buffer)
 
 
 # --------------------------------------------------------------------- #
@@ -130,7 +216,8 @@ class TestEngineInternals:
 
 
 def _broadcast_init(eng):
-    """The one-shot n×n broadcast init: the oracle for the blocked fill."""
+    """The one-shot n×n broadcast init, each pair with its lower slot as
+    A: the oracle for the blocked upper-triangle fill."""
     enc, model = eng.enc, eng.model
     n = enc.num_records
     cost_union = np.zeros((n, n), dtype=np.float64)
@@ -147,6 +234,10 @@ def _broadcast_init(eng):
         cost_union,
     )
     dist = np.asarray(dist, dtype=np.float64)
+    # Each pair is evaluated with its lower slot as A: the upper
+    # triangle's orientation, mirrored.
+    rows = np.arange(n)
+    dist = np.where(rows[:, None] < rows, dist, dist.T)
     np.fill_diagonal(dist, np.inf)
     return dist, dist.min(axis=1), dist.argmin(axis=1)
 
@@ -223,11 +314,11 @@ class _ClosureCheckedEngine(_Engine):
 
     checked = 0
 
-    def _refresh_row(self, x):
+    def _refresh_row(self, x, freed):
         want = self.enc.closure_of_records(self.members[x])
         assert self.nodes[x].tobytes() == want.tobytes()
         self.checked += 1
-        super()._refresh_row(x)
+        super()._refresh_row(x, freed)
 
 
 class TestMergedClosure:
@@ -254,7 +345,7 @@ class TestMergedClosure:
             left, right = perm[:3].tolist(), perm[3:7].tolist()
             eng.nodes[0] = enc.closure_of_records(left)
             eng.nodes[1] = enc.closure_of_records(right)
-            got = eng._merged_closure(0, 1, left + right)
+            got = eng._merged_closure(eng.nodes[0], eng.nodes[1], left + right)
             want = enc.closure_of_records(left + right)
             assert got.tobytes() == want.tobytes()
 
@@ -269,7 +360,7 @@ class TestMergedClosure:
         want = enc.closure_of_records(left + right)
         folded = enc.join_rows(eng.nodes[0], eng.nodes[2])
         assert folded.tobytes() != want.tobytes()  # the fold over-generalizes
-        got = eng._merged_closure(0, 2, left + right)
+        got = eng._merged_closure(eng.nodes[0], eng.nodes[2], left + right)
         assert got.tobytes() == want.tobytes()
         checked = _ClosureCheckedEngine(model, get_distance("d3"), 3)
         checked.run(False)
@@ -285,7 +376,10 @@ class TestMergedClosure:
 #: broadcast init, per-row ``join_rows`` + ``record_cost`` pricing and
 #: per-member merge closures; the rows for the other distances with the
 #: blocked init and fused pricing, which reproduce the d3 rows bit for
-#: bit.
+#: bit.  The nc rows were recomputed when every pair value became
+#: evaluated with its lower slot as A: nc is asymmetric by definition.
+#: d1–d3 are symmetric up to rounding (``(c − a) − b`` against
+#: ``(c − b) − a``) and d4 exactly; none of their rows moved.
 PINNED = {
     ("art", 1000, "d1", "lm", False): "e41e5c93b63f821c69a3d4b0e65efd029724838b24b4b83ba8291bce5e6d7f2d",
     ("art", 1000, "d1", "entropy", True): "21761aa8d2d26dd0a9c08c5605863c5ebf94cb69450a8efd0251305eff191a59",
@@ -295,8 +389,8 @@ PINNED = {
     ("art", 1000, "d3", "entropy", True): "d75bb5b0a29b1a6abd6050a823bac7625d8fce38392b45edcd3c1688c4276d6f",
     ("art", 1000, "d4", "lm", False): "5ea607d35de6a094fe142f5fa6d24825a3ba60c962c5763869d6412d56d9d2ad",
     ("art", 1000, "d4", "entropy", True): "ce457b5159aa8bd44e8968fc89f40b2ceb95a51b716eeb6f05f2219d54c89625",
-    ("art", 1000, "nc", "lm", False): "61e3d47b4c050c2d26fbb90468489ab49b6258ae01bef8f9c2068dd7230646e0",
-    ("art", 1000, "nc", "entropy", True): "42ea89641a554b62810c043bd6c6f04206056cec7bdae39d172b8d25e6b8a5d5",
+    ("art", 1000, "nc", "lm", False): "89a314a0eac70108ae9831c6093b8798255a616044a4e65250325515854f9a0f",
+    ("art", 1000, "nc", "entropy", True): "90fc8026aac85c3c96d1c0ccd48bd83c356b0461518f3e84478394e6d76f03f7",
     ("cmc", 1500, "d3", "lm", False): "786a7800e5774b00a89325704e34341d302e4d80f689bb754db142cfa3f1803e",
     ("cmc", 1500, "d3", "entropy", True): "3cfdcc52a05c0f964cb34f7dd399c2952310d1505efb89b2252909a47e904a4b",
 }

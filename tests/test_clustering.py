@@ -5,12 +5,19 @@ import pytest
 
 from repro.core.clustering import (
     Clustering,
+    cluster_closures,
     clustering_cost,
     clustering_to_nodes,
     clusters_from_assignment,
 )
 from repro.core.notions import is_k_anonymous
+from repro.datasets.registry import load
 from repro.errors import AnonymityError
+from repro.tabular.attribute import Attribute
+from repro.tabular.encoding import EncodedTable
+from repro.tabular.hierarchy import SubsetCollection
+from repro.tabular.table import Schema, Table
+from repro.verify.generators import random_instance
 
 
 class TestClustering:
@@ -79,3 +86,62 @@ class TestClusteringToNodes:
         assert clustering_cost(entropy_model, clustering) == pytest.approx(
             entropy_model.table_cost(nodes)
         )
+
+
+def _random_clusters(rng, n):
+    """A seeded partition of ``range(n)`` into clusters of mixed sizes,
+    singletons and one cluster far longer than the rest included, in
+    shuffled member order."""
+    perm = rng.permutation(n).tolist()
+    clusters, start = [], 0
+    while start < n:
+        width = int(rng.choice([1, 2, 3, 5, 8, max(1, n // 3)]))
+        clusters.append(perm[start : start + width])
+        start += width
+    return clusters
+
+
+def _closures_of_records(enc, clusters):
+    return np.array(
+        [enc.closure_of_records(c) for c in clusters], dtype=np.int32
+    ).reshape(len(clusters), enc.num_attributes)
+
+
+class TestClusterClosures:
+    """The join fold returns ``closure_of_records``' nodes byte for byte."""
+
+    def test_fuzz_tables(self):
+        for seed in range(400):
+            enc = random_instance(seed).encoded()
+            rng = np.random.default_rng(seed)
+            clusters = _random_clusters(rng, enc.num_records)
+            got = cluster_closures(enc, clusters)
+            want = _closures_of_records(enc, clusters)
+            assert got.tobytes() == want.tobytes(), seed
+            assert got.shape == want.shape
+
+    @pytest.mark.parametrize(
+        "dataset,n", [("art", 1000), ("cmc", 1500), ("adult", 2000)]
+    )
+    def test_paper_tables(self, dataset, n):
+        enc = EncodedTable(load(dataset, n=n, seed=1))
+        assert enc.exact_joins
+        for seed in range(3):
+            clusters = _random_clusters(np.random.default_rng(seed), n)
+            got = cluster_closures(enc, clusters)
+            assert got.tobytes() == _closures_of_records(enc, clusters).tobytes()
+
+    def test_non_exact_joins_close_each_cluster(self):
+        # {a, b} ∪ {d} has the closure {a, b, d, e}, but the join of the
+        # closures {a, b, c} and {d} is the full set.
+        letters = Attribute("letter", ["a", "b", "c", "d", "e"])
+        coll = SubsetCollection(letters, [["a", "b", "c"], ["a", "b", "d", "e"]])
+        enc = EncodedTable(Table(Schema([coll]), [(v,) for v in "abdceabd"]))
+        assert not enc.exact_joins
+        clusters = [[0, 1, 2], [3, 4], [5, 6, 7]]
+        got = cluster_closures(enc, clusters)
+        assert got.tobytes() == _closures_of_records(enc, clusters).tobytes()
+
+    def test_empty(self, entropy_model):
+        enc = entropy_model.enc
+        assert cluster_closures(enc, []).shape == (0, enc.num_attributes)

@@ -45,37 +45,53 @@ The engine
 The paper's O(n²) bound comes from a pairwise distance matrix plus
 per-row minima.  Every candidate union is priced by the fused join→cost
 kernel :class:`repro.measures.base.FusedJoinCost`, whose costs are
-bit-identical to ``record_cost`` of the materialized join.  The engine
-keeps these invariants between merges:
+bit-identical to ``record_cost`` of the materialized join.
 
-* Rows are indexed by slot, columns by ``pos[slot]`` (``cols`` lists
-  the slot of each column, ascending).  ``matrix[a, pos[b]]`` holds
-  ``dist(min(a, b), max(a, b))`` for every pair of active slots, bit
-  for bit, so the matrix is symmetric.  Entries that touch an inactive
-  slot are left as they were: a slot is deactivated through the
-  ``active`` mask and a ``+inf`` ``penalty`` on its column that rescans
-  add, never by writing its row and column.
-* For every active row not flagged ``stale``, ``row_min``/``row_arg``
-  are the row's first-index minimum over the active slots.  A stale
-  row's ``row_min`` is a lower bound of its minimum.
+* **One index space.**  All engine state is indexed by matrix column:
+  the square matrix's rows and columns, the attribute-major ``[r, w]``
+  closure nodes, sizes, costs, members and the row minima.  Columns
+  hold slots in ascending order (``cols[j]`` is the slot of column j,
+  ``pos[s]`` the column of slot s), so every first-index rule over
+  columns is the rule above over slots; ``cols``/``pos`` only map the
+  slots the LIFO free list holds.
+* **Matrix.**  ``matrix[i, j]`` holds ``dist(min, max)`` of the two
+  columns' slots for every pair of active columns, bit for bit, so the
+  matrix is symmetric.  A column is retired through the ``active``
+  mask and a ``+inf`` ``penalty`` that rescans add; its row and column
+  are left as they are.
+* **Row minima.**  An *exact* active row caches its first-index minimum
+  over the active columns (``row_min``, at column ``row_arg``) and in
+  ``row_sec`` a lower bound of every other active entry.  A *stale*
+  row has ``row_arg = -1`` and ``row_min = row_sec``, a lower bound of
+  all its active entries.
 
-A refresh of row x (a merged cluster or an expelled singleton) prices
-x against the active slots only and pushes its values into the other
-rows: a row takes x when x is smaller than its cached minimum, or equal
-and a lower slot than its cached argument.  A row whose cached argument
-was x or the freed partner and that x did not win back becomes stale.
+A refresh of column x (a merged cluster or an expelled singleton) prices
+x against the contiguous columns, writes its row and column, and pushes
+each value d into the other rows:
+
+* a row takes x when d is below its minimum, or equal and x is not
+  after its argument; its ``row_sec`` becomes
+  ``min(row_sec, max(row_min, d))``;
+* a row whose argument was x or the freed partner (a *hit* row) also
+  takes x when d is below its ``row_sec``; otherwise it becomes stale
+  with that bound.  Its ``row_sec`` stays, since it already bounds
+  every entry but the argument's;
+* a stale row takes x, and is exact again, when d is below its bound.
+
 A selection reads the first-index argmin of ``row_min``: when that row
 is exact it is the lowest row of the least pair, and its ``row_arg``
 the lowest partner, which is the selection rule above.  When it is
-stale, one batched repair first rescans, in a single 2-D argmin, the
-stale rows whose lower bound does not exceed the least exact row
-minimum; no other stale row can hold the least pair.
+stale, one repair first rescans the stale rows whose bound does not
+exceed the least exact row minimum, in blocks of about
+``_BLOCK_CELLS`` cells; no other stale row can hold the least pair.
 
-Once a quarter of the columns belong to inactive slots, the active rows
-are compacted in place into a narrower layout of the same buffer, so
-rescans and refreshes touch rows about as long as the number of live
-clusters.  The all-pairs init prices the upper triangle only, in blocks
-of rows of about ``_BLOCK_CELLS`` cells (one kernel call and one
+Once a quarter of the columns are inactive, the active rows and columns
+are compacted in place into a smaller square of the same buffer, rows
+moved in ascending order.  An expelled record whose slot was compacted
+away gets a column back by a widening that moves rows in descending
+order.  Neither move overwrites a row still to be read or allocates a
+second matrix.  The all-pairs init prices the upper triangle only, in
+blocks of rows of about ``_BLOCK_CELLS`` cells (one kernel call and one
 checkpoint per block), and mirrors each block into its columns.  Under
 exact joins a merged cluster's closure is the join of its two parts'
 closures, one table lookup per attribute instead of a closure of every
@@ -93,8 +109,9 @@ from repro.measures.base import CostModel, FusedJoinCost
 from repro.obs import count
 from repro.runtime import checkpoint
 
-#: Distance-matrix cells filled per block of the all-pairs init: a
-#: block's temporaries stay near this many doubles whatever n is.
+#: Matrix cells per block of rows, in the all-pairs init, the repair
+#: rescans and the compaction moves: a block's temporaries stay near
+#: this many doubles whatever n is.
 _BLOCK_CELLS = 1 << 18
 
 
@@ -108,7 +125,7 @@ class _Engine:
     def _init_slots(
         self, model: CostModel, distance: ClusterDistance, k: int
     ) -> None:
-        """Allocate the per-slot cluster state and the fused join→cost
+        """Allocate the per-column cluster state and the fused join→cost
         kernel every candidate is priced with.
 
         Split from ``__init__`` so tests can build an engine at an
@@ -123,10 +140,12 @@ class _Engine:
         self.k = k
         self._fused = FusedJoinCost(model)
 
-        # Slot arrays.  At most n clusters are ever alive at once, so n
-        # slots suffice; slots freed by merges are recycled for the
-        # singletons Algorithm 2 expels.
-        self.nodes = enc.singleton_nodes.copy()  # [n, r] closure nodes
+        # Column state: at most n clusters are ever alive at once, so n
+        # columns suffice; slots freed by merges are recycled for the
+        # singletons Algorithm 2 expels.  ``copy()``: for one attribute
+        # the transpose is already C-contiguous, and a view would write
+        # merged closures into the encoding.
+        self.nodes_t = enc.singleton_nodes.T.copy()  # [r, w] closure nodes
         self.sizes = np.ones(n, dtype=np.int64)
         self.costs = np.zeros(n, dtype=np.float64)
         self.members: list[list[int] | None] = [[i] for i in range(n)]
@@ -134,18 +153,18 @@ class _Engine:
         self.alive = n
         self.free_slots: list[int] = []
 
-        # Matrix columns: ``cols[j]`` is the slot of column j (ascending)
-        # and ``pos[s]`` the column of slot s, -1 once compacted away.
-        # ``penalty[j]`` is 0 for an active column and +inf for an
-        # inactive one: added to rescanned rows, it keeps inactive
-        # columns from winning an argmin.
+        # ``cols[j]`` is the slot of column j (ascending) and ``pos[s]``
+        # the column of slot s, -1 once compacted away.  ``penalty[j]``
+        # is 0 for an active column and +inf for an inactive one: added
+        # to rescanned rows, it keeps inactive columns from winning an
+        # argmin.
         self.cols = np.arange(n)
         self.pos = np.arange(n)
         self.penalty = np.zeros(n, dtype=np.float64)
 
         self.row_min = np.full(n, np.inf, dtype=np.float64)
-        self.row_arg = np.zeros(n, dtype=np.int64)
-        self.stale = np.zeros(n, dtype=bool)
+        self.row_sec = np.full(n, np.inf, dtype=np.float64)
+        self.row_arg = np.full(n, -1, dtype=np.int64)
 
         self.output: list[list[int]] = []
 
@@ -165,7 +184,7 @@ class _Engine:
     def _init_distances(self) -> None:
         """All-pairs distances: the upper triangle, in blocks of rows.
 
-        Block rows ``[a, b)`` are priced against slots ``a..n`` by one
+        Block rows ``[a, b)`` are priced against columns ``a..n`` by one
         :meth:`~repro.measures.base.FusedJoinCost.costs` call, each row
         as the A side; join tables are symmetric, and distances are
         element-wise, so every entry is the float a one-shot broadcast
@@ -175,15 +194,15 @@ class _Engine:
         minima are read once the rows are complete (columns left of
         ``a`` were mirrored by earlier blocks).
         """
-        n = self.enc.num_records
-        nodes_t = np.ascontiguousarray(self.nodes.T)
+        n = self.cols.size
+        nodes_t = self.nodes_t
         self._buffer = np.empty(n * n, dtype=np.float64)
         self.matrix = self._buffer.reshape(n, n)
         step = max(1, _BLOCK_CELLS // n)
         for a in range(0, n, step):
             checkpoint("core.agglomerative.init")
             b = min(a + step, n)
-            cost_union = self._fused.costs(nodes_t[:, a:], self.nodes[a:b])
+            cost_union = self._fused.costs(nodes_t[:, a:], nodes_t[:, a:b].T)
             dist = np.asarray(
                 self.distance.evaluate(
                     self.sizes[a:b, None],
@@ -200,133 +219,185 @@ class _Engine:
             square[rows, rows] = np.inf
             self.matrix[a:b, a:] = dist
             self.matrix[b:, a:b] = dist[:, b - a :].T
-            block = self.matrix[a:b]
-            arg = block.argmin(axis=1)
-            self.row_arg[a:b] = arg
-            self.row_min[a:b] = block[rows, arg]
+            self._scan(slice(a, b), self.matrix[a:b])
 
-    def _distances_from(self, x: int, act: np.ndarray) -> np.ndarray:
-        """``dist`` of active slot x to every slot (inf for inactive / self).
-
-        Unions are priced for the active slots ``act`` only: late in a
-        run most slots are retired.  Slots below x are the A side of
-        their pair with x, slots above it the B side.
-        """
-        cost_union = self._fused.pair_costs(self.nodes[act], self.nodes[x])
-        pos = int(np.searchsorted(act, x))
-        sizes, costs = self.sizes[act], self.costs[act]
-        size_x, cost_x = self.sizes[x], self.costs[x]
-        dist = np.full(self.active.size, np.inf, dtype=np.float64)
-        dist[act[:pos]] = self.distance.evaluate(
-            sizes[:pos], costs[:pos], size_x, cost_x, cost_union[:pos]
-        )
-        dist[act[pos + 1 :]] = self.distance.evaluate(
-            size_x,
-            cost_x,
-            sizes[pos + 1 :],
-            costs[pos + 1 :],
-            cost_union[pos + 1 :],
-        )
-        return dist
+    def _scan(self, rows: slice | np.ndarray, block: np.ndarray) -> None:
+        """Make ``rows`` exact from ``block``, their entries with every
+        inactive column at +inf: the first-index argmin, its value, and
+        the least of the other entries.  ``block`` is left as it was."""
+        index = np.arange(block.shape[0])
+        arg = block.argmin(axis=1)
+        least = block[index, arg]
+        self.row_arg[rows] = arg
+        self.row_min[rows] = least
+        block[index, arg] = np.inf
+        self.row_sec[rows] = block.min(axis=1)
+        block[index, arg] = least
 
     def _refresh_row(self, x: int, freed: int) -> None:
-        """Reprice active slot x, push its values into the other rows'
-        minima, and flag the rows that cached x or ``freed`` and lost
-        their minimum."""
-        act = np.flatnonzero(self.active)
-        dist = self._distances_from(x, act)
-        self.matrix[x] = dist[self.cols]
-        self.matrix[act, self.pos[x]] = dist[act]
-        cur, arg = self.row_min, self.row_arg
-        lost = arg == x
-        lost |= arg == freed
-        lost &= dist > cur
-        self.stale |= lost
-        take = dist < cur
+        """Reprice active column x against every column, write its row
+        and column, and push its values into the other rows' minima.
+
+        Columns below x are the A side of their pair with x, columns
+        above it the B side.  ``freed`` is the column retired by this
+        merge (x itself for an expelled singleton): rows whose argument
+        was x or ``freed`` keep an exact minimum only through x.
+        """
+        sizes, costs = self.sizes, self.costs
+        size_x, cost_x = sizes[x], costs[x]
+        cost_union = self._fused.costs(self.nodes_t, self.nodes_t[:, x])
+        evaluate = self.distance.evaluate
+        dist = np.concatenate(
+            (
+                evaluate(sizes[:x], costs[:x], size_x, cost_x, cost_union[:x]),
+                (np.inf,),
+                evaluate(
+                    size_x,
+                    cost_x,
+                    sizes[x + 1 :],
+                    costs[x + 1 :],
+                    cost_union[x + 1 :],
+                ),
+            )
+        )
+        self.matrix[x] = dist
+        self.matrix[:, x] = dist
+        dist += self.penalty
+        cur, arg, sec = self.row_min, self.row_arg, self.row_sec
+        hit = arg == x
+        hit |= arg == freed
+        # A row takes x below row_sec if hit, below its minimum (a stale
+        # row's bound), or tied with it and not after its argument.
+        take = dist < sec
+        take &= hit
+        take |= dist < cur
         tie = dist == cur
-        tie &= arg > x
+        tie &= arg >= x
         take |= tie
+        lost = hit > take
+        # Outside hit rows, the larger of the old minimum and d is now
+        # an entry other than the argument's.
+        bound = np.maximum(cur, dist)
+        np.copyto(bound, np.inf, where=hit)
+        np.minimum(sec, bound, out=sec)
         np.copyto(cur, dist, where=take)
         arg[take] = x
+        np.copyto(cur, sec, where=lost)
+        arg[lost] = -1
+        # Row x itself: its first-index minimum and least other entry.
         best = int(dist.argmin())
         arg[x] = best
         cur[x] = dist[best]
-        self.stale[x] = False
+        dist[best] = np.inf
+        sec[x] = dist.min()
 
     def _deactivate(self, x: int) -> None:
-        """Retire slot x through the mask; its matrix row and column
-        are left as they are.  Its ``row_arg`` of -1 matches no slot, so
-        no later push or stale flag reaches the retired row."""
+        """Retire column x through the mask; its matrix row and column
+        are left as they are.  Its ``row_arg`` of -1 and ``row_min`` of
+        +inf keep the retired row out of every selection and push."""
         self.active[x] = False
-        self.penalty[self.pos[x]] = np.inf
+        self.penalty[x] = np.inf
         self.row_min[x] = np.inf
         self.row_arg[x] = -1
-        self.stale[x] = False
         self.alive -= 1
-        self.free_slots.append(x)
+        self.free_slots.append(int(self.cols[x]))
 
     def _repair(self) -> None:
         """Rescan the stale rows that could hold the least pair.
 
-        A stale row whose lower bound exceeds the least exact row
-        minimum cannot, and stays stale.  The others are rescanned
-        together: one gather, the inactive columns masked by
-        ``penalty``, one 2-D first-index argmin.
+        A stale row whose bound exceeds the least exact row minimum
+        cannot, and stays stale.  The others are rescanned in blocks of
+        rows of about ``_BLOCK_CELLS`` cells: one gather, the inactive
+        columns masked by ``penalty``, one 2-D first-index argmin.
         """
-        stale = np.flatnonzero(self.stale)
+        arg, cur = self.row_arg, self.row_min
+        stale = np.flatnonzero((arg < 0) & self.active)
         self.stat_scanned += stale.size
-        bound = np.where(self.stale, np.inf, self.row_min).min()
-        rows = stale[self.row_min[stale] <= bound]
-        block = self.matrix[rows]
-        block += self.penalty
-        arg = block.argmin(axis=1)
-        self.row_arg[rows] = self.cols[arg]
-        self.row_min[rows] = block[np.arange(rows.size), arg]
-        self.stale[rows] = False
+        bound = np.where(arg < 0, np.inf, cur).min()
+        rows = stale[cur[stale] <= bound]
+        step = max(1, _BLOCK_CELLS // self.cols.size)
+        # repro: allow[REP011] rescans the stale rows of one selection, a block at a time; one call per merge checkpoint
+        for a in range(0, rows.size, step):
+            part = rows[a : a + step]
+            block = self.matrix[part]
+            block += self.penalty
+            self._scan(part, block)
         self.stat_rescans += rows.size
 
-    def _compact(self) -> None:
-        """Keep matrix columns for the active slots only.
+    def _move(self, src: np.ndarray, descending: bool) -> None:
+        """Make the matrix its ``[src][:, src]`` square, in place.
 
-        Rows stay indexed by slot; row s moves from offset ``s·w`` of
-        the buffer to ``s·w'``.  When the matrix narrows (w' ≤ w) rows
-        are moved in ascending order, otherwise in descending order, a
-        block of rows at a time, so no move overwrites a row still to
-        be read, and no second matrix is allocated.  Columns keep
-        ascending slot order, so a first-index argmin over columns is
-        still one over slots.  An active slot without a column (an
-        expelled record in a slot compacted away) gets a column of
-        garbage, which its refresh then overwrites.
+        ``src`` holds the old row and column of each new one.  New row
+        j starts at offset ``j·w'`` of the buffer.  A narrowing (the
+        active columns, w' ≤ w) puts every row at or before where its
+        source starts, so rows are moved in ascending order; a widening
+        (one column more) puts it at or after, so in descending order.
+        Either way, a block of rows at a time, no move overwrites a row
+        still to be read and no second matrix is allocated.
         """
-        n, w = self.active.size, self.cols.size
-        keep = np.flatnonzero(self.active)
-        width = keep.size
-        old = np.maximum(self.pos[keep], 0)
-        dst = self._buffer[: n * width].reshape(n, width)
-        order = keep if width <= w else keep[::-1]
-        step = max(1, _BLOCK_CELLS // width)
-        # repro: allow[REP011] moves the active rows once per compaction, a block at a time; one call per merge checkpoint
-        for a in range(0, width, step):
-            rows = order[a : a + step]
-            dst[rows] = self.matrix[rows][:, old]
+        width = src.size
+        dst = self._buffer[: width * width].reshape(width, width)
+        step = max(1, _BLOCK_CELLS // max(width, self.cols.size))
+        starts = range(0, width, step)
+        # repro: allow[REP011] moves every kept row once per compaction or widening, a block at a time; one call per merge checkpoint
+        for a in reversed(starts) if descending else starts:
+            dst[a : a + step] = self.matrix[src[a : a + step]].take(src, axis=1)
         self.matrix = dst
-        self.cols = keep
-        self.pos = np.full(n, -1)
-        self.pos[keep] = np.arange(width)
+
+    def _compact(self) -> None:
+        """Keep the rows and columns of the active columns only."""
+        keep = np.flatnonzero(self.active)
+        w, width = self.cols.size, keep.size
+        self._move(keep, descending=False)
+        # Stale and retired rows' -1 arguments index the trailing -1.
+        remap = np.full(w + 1, -1)
+        remap[keep] = np.arange(width)
+        self.row_arg = remap[self.row_arg[keep]]
+        self.row_min = self.row_min[keep]
+        self.row_sec = self.row_sec[keep]
+        self.nodes_t = self.nodes_t[:, keep]
+        self.sizes = self.sizes[keep]
+        self.costs = self.costs[keep]
+        self.members = [self.members[j] for j in keep]
+        self.active = np.ones(width, dtype=bool)
         self.penalty = np.zeros(width, dtype=np.float64)
+        self.cols = self.cols[keep]
+        self.pos.fill(-1)
+        self.pos[self.cols] = np.arange(width)
+
+    def _widen(self, slot: int) -> int:
+        """Give ``slot``, compacted away, an inactive column again, at
+        its place in slot order; returns the column.  Its row and column
+        hold garbage until the slot's refresh overwrites them."""
+        w = self.cols.size
+        x = int(np.searchsorted(self.cols, slot))
+        self._move(np.insert(np.arange(w), x, 0), descending=True)
+        arg = self.row_arg
+        self.row_arg = np.insert(arg + (arg >= x), x, -1)
+        self.row_min = np.insert(self.row_min, x, np.inf)
+        self.row_sec = np.insert(self.row_sec, x, np.inf)
+        self.nodes_t = np.insert(self.nodes_t, x, 0, axis=1)
+        self.sizes = np.insert(self.sizes, x, 0)
+        self.costs = np.insert(self.costs, x, 0.0)
+        self.members.insert(x, None)
+        self.active = np.insert(self.active, x, False)
+        self.penalty = np.insert(self.penalty, x, np.inf)
+        self.cols = np.insert(self.cols, x, slot)
+        self.pos[self.cols[x:]] = np.arange(x, w + 1)
+        return x
 
     def _pop_closest_pair(self) -> tuple[int, int] | None:
-        """The least active pair ``(a, b)``, a < b, by the selection rule;
-        None if no finite pair is left.
+        """The least active pair ``(a, b)`` of columns, a < b, by the
+        selection rule; None if no finite pair is left.
 
         Row x, the first-index argmin of ``row_min``, holds the least
         pair as soon as it is exact: every lower row's minimum, exact or
-        bounded, is above x's.  Only when x is stale does the batched
-        repair run, once: afterwards no stale row can be the argmin.
+        bounded, is above x's.  Only when x is stale does the repair
+        run, once: afterwards no stale row can be the argmin.
         """
         self.stat_scanned += 1
         x = int(self.row_min.argmin())
-        if self.stale[x]:
+        if self.row_arg[x] < 0:
             self._repair()
             x = int(self.row_min.argmin())
         if not self.row_min[x] < np.inf:
@@ -337,17 +408,17 @@ class _Engine:
         """Re-insert an expelled record as a singleton in the slot freed
         last."""
         slot = self.free_slots.pop()
-        self.nodes[slot] = self.enc.singleton_nodes[record]
-        self.sizes[slot] = 1
-        self.costs[slot] = 0.0
-        self.members[slot] = [record]
-        self.active[slot] = True
+        x = int(self.pos[slot])
+        if x < 0:
+            x = self._widen(slot)
+        self.nodes_t[:, x] = self.enc.singleton_nodes[record]
+        self.sizes[x] = 1
+        self.costs[x] = 0.0
+        self.members[x] = [record]
+        self.active[x] = True
+        self.penalty[x] = 0.0
         self.alive += 1
-        if self.pos[slot] < 0:
-            self._compact()
-        else:
-            self.penalty[self.pos[slot]] = 0.0
-        self._refresh_row(slot, slot)
+        self._refresh_row(x, x)
 
     # ------------------------------------------------------------------ #
     # Algorithm 2: shrink a ripe cluster back to size k
@@ -439,29 +510,27 @@ class _Engine:
 
         # Line 10: distribute the members of the at-most-one leftover
         # cluster (size < k) to their closest output clusters.
-        leftover_slots = np.flatnonzero(self.active)
-        if leftover_slots.size:
-            slot = int(leftover_slots[0])
-            leftover = self.members[slot] or []
+        leftover_cols = np.flatnonzero(self.active)
+        if leftover_cols.size:
+            leftover = self.members[int(leftover_cols[0])] or []
             self._distribute_leftover(leftover)
         self._flush_stats()
         return Clustering(self.enc.num_records, self.output)
 
     def _merge(self, x: int, y: int, modified: bool) -> None:
-        """Lines 5–9 for the selected pair x < y: unify into slot x and
-        free y; a ripe union leaves for the output (shrunk first when
-        ``modified``) and frees x too."""
+        """Lines 5–9 for the selected columns x < y: unify into x and
+        free y's slot; a ripe union leaves for the output (shrunk first
+        when ``modified``) and frees x's slot too."""
         self.stat_merges += 1
         merged = self.members[x] + self.members[y]  # type: ignore[operator]
         self.members[y] = None
         self._deactivate(y)
         if len(merged) < self.k:
+            nodes = self.nodes_t
             self.members[x] = merged
-            self.nodes[x] = self._merged_closure(
-                self.nodes[x], self.nodes[y], merged
-            )
+            nodes[:, x] = self._merged_closure(nodes[:, x], nodes[:, y], merged)
             self.sizes[x] = len(merged)
-            self.costs[x] = float(self.model.record_cost(self.nodes[x]))
+            self.costs[x] = float(self.model.record_cost(nodes[:, x]))
             self._refresh_row(x, y)
             return
         expelled: list[int] = []
@@ -471,8 +540,11 @@ class _Engine:
         self.output.append(merged)
         self.members[x] = None
         self._deactivate(x)
+        # Rows that cached x or y go stale, bounded by their row_sec.
         arg = self.row_arg
-        self.stale |= (arg == x) | (arg == y)
+        lost = (arg == x) | (arg == y)
+        np.copyto(self.row_min, self.row_sec, where=lost)
+        arg[lost] = -1
         # repro: allow[REP011] re-inserts the < size expelled records of one merge; one call per merge checkpoint
         for record in expelled:
             self._add_singleton(record)

@@ -21,7 +21,9 @@ executes all of them on one fuzz instance and demands:
   (Hopcroft–Karp vs brute force, SCC allowed edges vs the paper's
   naive per-edge test);
 * the high-level :func:`repro.core.api.anonymize` facade verifies and
-  reports the cost the cost model recomputes.
+  reports the cost the cost model recomputes;
+* no algorithm writes to the encoded arrays the instance shares across
+  the whole battery.
 
 This is the substrate every future performance PR must pass through:
 rewrite a hot path, and the fuzzing harness replays thousands of random
@@ -65,8 +67,10 @@ from repro.verify.generators import Instance, InstanceConfig
 from repro.verify.invariants import (
     Violation,
     check_generalization,
+    check_inputs_unmutated,
     check_lattice,
     check_matching_oracles,
+    snapshot_inputs,
 )
 
 
@@ -370,7 +374,10 @@ def differential_check(
     """Run every applicable registered algorithm on one instance.
 
     Algorithms with a literal reference must reproduce it
-    (``differential.<name>`` otherwise).
+    (``differential.<name>`` otherwise).  Every algorithm shares the
+    instance's encoding, so one that changes its arrays is reported
+    (``differential.input-mutated``), and the next is judged against
+    the arrays it was given.
 
     Returns all invariant violations found; an empty list means the
     instance passed the full differential battery.
@@ -381,10 +388,12 @@ def differential_check(
     laminar = instance.is_laminar()
     out: list[Violation] = []
     kk_nodes: np.ndarray | None = None
+    before = snapshot_inputs(enc)
 
     for spec in REGISTRY:
         if spec.requires_laminar and not laminar:
             continue
+        produced: AlgorithmOutput | None = None
         try:
             produced = spec.run(model, cfg)
         except ReproError as exc:
@@ -394,7 +403,6 @@ def differential_check(
                     f"{spec.name} (k={cfg.k}, n={enc.num_records}): {exc}",
                 )
             )
-            continue
         except Exception as exc:  # noqa: BLE001 — crashes are the finding
             out.append(
                 Violation(
@@ -402,6 +410,13 @@ def differential_check(
                     f"{spec.name}: {type(exc).__name__}: {exc}",
                 )
             )
+        mutated = check_inputs_unmutated(
+            enc, before, "differential.input-mutated", spec.name
+        )
+        if mutated:
+            out.extend(mutated)
+            before = snapshot_inputs(enc)
+        if produced is None:
             continue
         if spec.name in _REFERENCES:
             out.extend(_check_reference(spec, model, cfg, produced))

@@ -18,7 +18,9 @@ catalogue covers:
   free, and the per-measure ``monotone`` / ``bounded_unit`` claims hold;
 * **matching correctness**: Hopcroft–Karp agrees with the brute-force
   Kuhn matcher on maximum matching size, and the SCC-based allowed-edge
-  computation agrees with the paper's naive per-edge test.
+  computation agrees with the paper's naive per-edge test;
+* **unmutated inputs**: an algorithm, completed or aborted, leaves the
+  encoded arrays it shares with every other algorithm byte-identical.
 
 The fuzzing harness (:mod:`repro.verify.harness`) strings these together
 over random instances; the invariants are equally usable one-off from a
@@ -50,6 +52,34 @@ class Violation:
 
     def __str__(self) -> str:
         return f"[{self.invariant}] {self.detail}"
+
+
+# ---------------------------------------------------------------------- #
+# unmutated inputs
+# ---------------------------------------------------------------------- #
+
+#: The encoded arrays one instance shares across every algorithm run.
+_SHARED_ARRAYS = ("codes", "singleton_nodes", "unique_codes")
+
+
+def snapshot_inputs(enc: EncodedTable) -> dict[str, np.ndarray]:
+    """Copies of the encoded arrays an algorithm must not mutate."""
+    return {name: getattr(enc, name).copy() for name in _SHARED_ARRAYS}
+
+
+def check_inputs_unmutated(
+    enc: EncodedTable,
+    before: dict[str, np.ndarray],
+    invariant: str,
+    label: str,
+) -> list[Violation]:
+    """One ``invariant`` violation per array of :func:`snapshot_inputs`
+    that ``enc`` no longer holds as ``before`` recorded it."""
+    return [
+        Violation(invariant, f"{label} mutated enc.{name}")
+        for name, saved in before.items()
+        if not np.array_equal(getattr(enc, name), saved)
+    ]
 
 
 # ---------------------------------------------------------------------- #

@@ -19,40 +19,16 @@ harness and its shrinking machinery.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import ReproError
 from repro.measures.base import CostModel
 from repro.runtime import Budget, FaultPlan, fault_scope, limit_scope
-from repro.tabular.encoding import EncodedTable
 from repro.verify.differential import REGISTRY, AlgorithmSpec
 from repro.verify.generators import Instance
-from repro.verify.invariants import Violation
-
-
-def _snapshot(enc: EncodedTable) -> dict[str, np.ndarray]:
-    """Copies of the encoded arrays an algorithm must not mutate."""
-    return {
-        "codes": enc.codes.copy(),
-        "singleton_nodes": enc.singleton_nodes.copy(),
-        "unique_codes": enc.unique_codes.copy(),
-    }
-
-
-def _mutations(
-    enc: EncodedTable, before: dict[str, np.ndarray], label: str
-) -> list[Violation]:
-    out = []
-    for name, saved in before.items():
-        current = getattr(enc, name)
-        if current.shape != saved.shape or not np.array_equal(current, saved):
-            out.append(
-                Violation(
-                    "resilience.input-mutated",
-                    f"{label}: aborted run mutated enc.{name}",
-                )
-            )
-    return out
+from repro.verify.invariants import (
+    Violation,
+    check_inputs_unmutated,
+    snapshot_inputs,
+)
 
 
 def _drill(
@@ -63,7 +39,7 @@ def _drill(
 ) -> list[Violation]:
     """Run one spec under the ambient fault/limit scope; classify the exit."""
     enc = model.enc
-    before = _snapshot(enc)
+    before = snapshot_inputs(enc)
     out: list[Violation] = []
     completed = False
     try:
@@ -78,7 +54,11 @@ def _drill(
                 f"{label}: untyped {type(exc).__name__}: {exc}",
             )
         )
-    out.extend(_mutations(enc, before, label))
+    out.extend(
+        check_inputs_unmutated(
+            enc, before, "resilience.input-mutated", f"{label}: aborted run"
+        )
+    )
     return out if not completed else out + [COMPLETED]
 
 

@@ -1,8 +1,8 @@
 """White-box tests for the agglomerative engine's internal machinery.
 
-The slot recycling, matrix maintenance, column compaction and
-row-minimum caching are the engine's riskiest parts; these tests drive
-the private `_Engine` state directly on small inputs where every
+The slot recycling, matrix maintenance, compaction and widening, and
+the row-minimum caching are the engine's riskiest parts; these tests
+drive the private `_Engine` state directly on small inputs where every
 invariant can be checked, bit for bit, against a from-scratch
 recomputation of the specified pair values.  The blocked all-pairs init
 is checked bit for bit against the one-shot n×n broadcast it replaced,
@@ -40,56 +40,106 @@ def engine():
 
 
 def _fresh_values(eng):
-    """``dist(a, b)`` of every pair of active slots, from scratch: each
-    cost the record cost of the members' closure, each union priced at
-    the join of the two closures, the lower slot as A.  Returns the
-    active slots and the ``[m, m]`` values (inf on the diagonal)."""
+    """``dist(a, b)`` of every pair of active columns, from scratch:
+    each closure the closure of the members, each cost its record cost,
+    each union priced at the join of the two closures, the pair's lower
+    slot as A.  Returns the active columns, their ``[m, r]`` closures,
+    costs, and the ``[m, m]`` values (inf on the diagonal)."""
     enc, model = eng.enc, eng.model
     act = np.flatnonzero(eng.active)
     closures = np.array(
-        [enc.closure_of_records(eng.members[s]) for s in act], dtype=np.int32
+        [enc.closure_of_records(eng.members[j]) for j in act], dtype=np.int32
     ).reshape(act.size, enc.num_attributes)
     costs = np.asarray(model.record_cost(closures), dtype=np.float64)
-    sizes = np.array([len(eng.members[s]) for s in act])
-    m = act.size
-    values = np.full((m, m), np.inf)
-    for i in range(m):
-        for j in range(i + 1, m):
-            union = model.record_cost(enc.join_rows(closures[i], closures[j]))
-            d = eng.distance.evaluate(
-                sizes[i], costs[i], sizes[j], costs[j], union
-            )
-            values[i, j] = values[j, i] = d
-    return act, values
+    sizes = np.array([len(eng.members[j]) for j in act], dtype=np.int64)
+    union = model.record_cost(enc.join_rows(closures[:, None], closures[None]))
+    values = np.asarray(
+        eng.distance.evaluate(
+            sizes[:, None], costs[:, None], sizes[None], costs[None], union
+        ),
+        dtype=np.float64,
+    ).reshape(act.size, act.size)
+    slots = eng.cols[act]
+    values = np.where(slots[:, None] < slots, values, values.T)
+    np.fill_diagonal(values, np.inf)
+    return act, closures, costs, values
 
 
 def _check_matrix_invariants(eng):
     """The engine's invariants, exactly.
 
-    Active-pair entries are the fresh lower-slot-oriented values bit for
-    bit; every active row that is not stale caches its first-index
-    minimum over the active slots, and a stale row a lower bound of it.
-    (A lone active slot has no pair, so no argument to check.)
+    Layout: ``cols`` ascending, ``pos`` its inverse, a square matrix in
+    the shared buffer, every per-column array ``w`` long, the mask and
+    the penalty in agreement.  Values: active columns' closures and
+    costs are their members', live entries the fresh lower-slot-oriented
+    values bit for bit.  Minima: an exact row holds its first-index
+    minimum and a ``row_sec`` no greater than any other live entry; a
+    stale row holds ``row_arg == -1`` and a lower bound in both
+    ``row_min`` and ``row_sec``; a retired row ``-1`` and +inf.  (A lone
+    active column has no pair, so no argument to check.)
     """
-    act, values = _fresh_values(eng)
+    w = eng.cols.size
+    assert (np.diff(eng.cols) > 0).all()
+    assert (eng.pos[eng.cols] == np.arange(w)).all()
+    assert (eng.pos >= 0).sum() == w
+    assert eng.matrix.shape == (w, w)
+    assert np.shares_memory(eng.matrix, eng._buffer)
+    assert eng.nodes_t.shape == (eng.enc.num_attributes, w)
+    per_column = (
+        "sizes", "costs", "active", "penalty", "row_min", "row_sec", "row_arg"
+    )
+    for name in per_column:
+        assert getattr(eng, name).shape == (w,), name
+    assert len(eng.members) == w
+    assert np.array_equal(eng.penalty == 0, eng.active)
+    assert (eng.penalty[~eng.active] == np.inf).all()
+    retired = ~eng.active
+    assert (eng.row_arg[retired] == -1).all()
+    assert (eng.row_min[retired] == np.inf).all()
+
+    act, closures, costs, values = _fresh_values(eng)
     assert eng.alive == act.size
     if not act.size:
         return
-    stored = eng.matrix[np.ix_(act, eng.pos[act])]
-    assert stored.tobytes() == values.tobytes()
+    assert eng.nodes_t[:, act].T.tobytes() == closures.tobytes()
+    assert eng.costs[act].tobytes() == costs.tobytes()
+    assert eng.matrix[np.ix_(act, act)].tobytes() == values.tobytes()
     first = values.argmin(axis=1)
-    least = values[np.arange(act.size), first]
-    for i, slot in enumerate(act):
-        if eng.stale[slot]:
-            assert eng.row_min[slot] <= least[i]
+    index = np.arange(act.size)
+    least = values[index, first]
+    others = values.copy()
+    others[index, first] = np.inf
+    second = others.min(axis=1)
+    for i, col in enumerate(act):
+        if eng.row_arg[col] < 0:
+            assert eng.row_min[col] <= least[i]
+            assert eng.row_sec[col] == eng.row_min[col]
         else:
-            assert eng.row_min[slot].tobytes() == least[i].tobytes()
-            assert act.size == 1 or eng.row_arg[slot] == act[first[i]]
-    assert np.array_equal(eng.penalty == 0, eng.active[eng.cols])
-    assert (eng.pos[eng.cols] == np.arange(eng.cols.size)).all()
+            assert eng.row_min[col].tobytes() == least[i].tobytes()
+            assert act.size == 1 or eng.row_arg[col] == act[first[i]]
+            assert eng.row_sec[col] <= second[i]
 
 
-class _InvariantCheckedEngine(_Engine):
+def _full_run_tables(seed):
+    """The tables of the full-run checks for one seed: three 24-row
+    tables with many duplicate rows, so ties and expels are common."""
+    return [
+        EncodedTable(make_random_table(24, seed=t, domain_sizes=(4, 3)))
+        for t in (seed, seed + 4, seed + 8)
+    ]
+
+
+class _CountingEngine(_Engine):
+    """Counts the widenings of a run."""
+
+    widened = 0
+
+    def _widen(self, slot):
+        self.widened += 1
+        return super()._widen(slot)
+
+
+class _InvariantCheckedEngine(_CountingEngine):
     """Checks every invariant after every merge of a full run."""
 
     checked = 0
@@ -108,8 +158,21 @@ class TestEngineInternals:
         assert (engine.sizes == 1).all()
         assert np.allclose(engine.costs, 0.0)
         assert not np.isfinite(np.diag(engine.matrix)).any()
-        assert not engine.stale.any()
+        assert (engine.row_arg >= 0).all()
+        assert engine.nodes_t.tobytes() == engine.enc.singleton_nodes.T.tobytes()
         _check_matrix_invariants(engine)
+
+    def test_one_attribute_nodes_do_not_alias_the_encoding(self):
+        # For r = 1 the transpose is already contiguous: the engine's
+        # closure nodes must still be a copy, or merges would write
+        # closures into the encoded singletons.
+        table = make_random_table(10, seed=2, domain_sizes=(6,))
+        enc = EncodedTable(table)
+        before = enc.singleton_nodes.copy()
+        eng = _Engine(CostModel(enc, LMMeasure()), get_distance("d3"), 4)
+        assert not np.shares_memory(eng.nodes_t, enc.singleton_nodes)
+        eng.run(True)
+        assert enc.singleton_nodes.tobytes() == before.tobytes()
 
     def test_matrix_symmetric(self, engine):
         assert engine.matrix.tobytes() == engine.matrix.T.tobytes()
@@ -135,21 +198,63 @@ class TestEngineInternals:
     def test_invariants_hold_through_full_runs(
         self, monkeypatch, seed, distance, rows_per_block
     ):
-        # Modified runs expel records into recycled slots, some of them
-        # compacted away (the matrix then widens), so every path of the
-        # engine is checked; one row per block makes each compaction
-        # move rows one at a time, the order that keeps them intact.
+        # Plain k=3 and modified k=5 runs under both measures.  Modified
+        # runs expel records into recycled slots, some of them compacted
+        # away (the matrix then widens), so every path of the engine is
+        # checked; one row per block makes every rescan, compaction and
+        # widening move rows one at a time.
         if rows_per_block is not None:
             monkeypatch.setattr(agglomerative_module, "_BLOCK_CELLS", 1)
-        table = make_random_table(24, seed=seed, domain_sizes=(4, 3))
-        model = CostModel(EncodedTable(table), EntropyMeasure())
-        eng = _InvariantCheckedEngine(model, get_distance(distance), 5)
-        eng.run(True)
-        assert eng.checked > 0
+        for enc in _full_run_tables(seed):
+            for measure in ("lm", "entropy"):
+                model = CostModel(enc, get_measure(measure))
+                for k, modified in ((3, False), (5, True)):
+                    eng = _InvariantCheckedEngine(model, get_distance(distance), k)
+                    eng.run(modified)
+                    assert eng.checked > 0
+
+    def test_full_runs_widen(self):
+        # The checked runs above reach every path only if some expelled
+        # record gets back a column that compaction took away.
+        widened = 0
+        for seed in range(4):
+            for enc in _full_run_tables(seed):
+                for distance in distance_names():
+                    for measure in ("lm", "entropy"):
+                        model = CostModel(enc, get_measure(measure))
+                        eng = _CountingEngine(model, get_distance(distance), 5)
+                        eng.run(True)
+                        widened += eng.widened
+        assert widened > 0
+
+    def test_one_row_blocks_give_the_same_clustering(self, monkeypatch):
+        # Repairs, compactions and widenings move a block of rows at a
+        # time; the block size must not change a single merge.
+        adt = EncodedTable(load("adult", n=400, seed=3))
+        cases = [(adt, "lm", False), (adt, "entropy", True)] + [
+            (EncodedTable(make_random_table(40, seed=seed, domain_sizes=(4, 3))),
+             "entropy", True)
+            for seed in range(6)
+        ]
+        runs = {}
+        for cells in (agglomerative_module._BLOCK_CELLS, 1):
+            monkeypatch.setattr(agglomerative_module, "_BLOCK_CELLS", cells)
+            runs[cells] = []
+            for enc, measure, modified in cases:
+                model = CostModel(enc, get_measure(measure))
+                eng = _CountingEngine(model, get_distance("d1"), 5)
+                clustering = eng.run(modified)
+                runs[cells].append(
+                    (clustering.clusters, eng.stat_rescans, eng.widened)
+                )
+        default, one_row = runs.values()
+        assert default == one_row
+        assert all(rescans > 0 for _, rescans, _ in default)
+        assert sum(widened for *_, widened in default) > 0
 
     def test_pop_closest_pair_is_lowest_least_pair(self, engine):
         while engine.alive > 1:
-            act, values = _fresh_values(engine)
+            act, _, _, values = _fresh_values(engine)
             i, j = np.unravel_index(values.argmin(), values.shape)
             assert engine._pop_closest_pair() == (act[i], act[j])
             engine._merge(act[i], act[j], modified=False)
@@ -159,8 +264,8 @@ class TestEngineInternals:
         assert pair is not None
         x, y = pair
         assert x < y
-        _, values = _fresh_values(engine)
-        assert engine.matrix[x, engine.pos[y]] == values.min()
+        *_, values = _fresh_values(engine)
+        assert engine.matrix[x, y] == values.min()
 
     def test_slot_recycling_on_shrink(self):
         table = make_random_table(15, seed=11, domain_sizes=(6, 3))
@@ -173,14 +278,17 @@ class TestEngineInternals:
         assert seen == list(range(15))
 
     def test_add_singleton_restores_invariants(self, engine):
-        # A ripe merge frees both slots; expelled records take them back
-        # last freed first.
+        # A ripe merge frees both slots, and the rows that cached either
+        # go stale; expelled records take the slots back last freed
+        # first.
         x, y = engine._pop_closest_pair()
         engine.members[y] = None
         engine._deactivate(y)
         engine.members[x] = None
         engine._deactivate(x)
-        engine.stale |= (engine.row_arg == x) | (engine.row_arg == y)
+        lost = (engine.row_arg == x) | (engine.row_arg == y)
+        engine.row_min[lost] = engine.row_sec[lost]
+        engine.row_arg[lost] = -1
         engine._add_singleton(y)
         engine._add_singleton(x)
         assert engine.members[x] == [y] and engine.members[y] == [x]
@@ -191,7 +299,7 @@ class TestEngineInternals:
         before = engine.matrix.copy()
         engine._deactivate(3)
         assert not engine.active[3]
-        assert engine.penalty[engine.pos[3]] == np.inf
+        assert engine.penalty[3] == np.inf
         assert engine.row_min[3] == np.inf
         assert engine.row_arg[3] == -1
         assert engine.free_slots == [3]
@@ -205,8 +313,23 @@ class TestEngineInternals:
         before = engine.matrix[np.ix_(act, act)].copy()
         engine._compact()
         assert np.array_equal(engine.cols, act)
-        assert engine.matrix.shape == (engine.enc.num_records, act.size)
-        assert engine.matrix[act].tobytes() == before.tobytes()
+        assert engine.matrix.shape == (act.size, act.size)
+        assert engine.matrix.tobytes() == before.tobytes()
+        assert np.shares_memory(engine.matrix, engine._buffer)
+
+    def test_widen_inserts_the_slot_in_order(self, engine):
+        for slot in (0, 4, 5, 9):
+            engine._deactivate(slot)
+        engine._compact()
+        kept = engine.cols.copy()
+        before = engine.matrix.copy()
+        x = engine._widen(5)
+        assert x == 3
+        assert np.array_equal(engine.cols, np.insert(kept, 3, 5))
+        assert engine.pos[5] == 3 and engine.pos[4] == -1
+        assert not engine.active[3] and engine.penalty[3] == np.inf
+        rest = np.delete(np.arange(kept.size + 1), 3)
+        assert engine.matrix[np.ix_(rest, rest)].tobytes() == before.tobytes()
         assert np.shares_memory(engine.matrix, engine._buffer)
 
 
@@ -221,7 +344,7 @@ def _broadcast_init(eng):
     enc, model = eng.enc, eng.model
     n = enc.num_records
     cost_union = np.zeros((n, n), dtype=np.float64)
-    col = eng.nodes
+    col = eng.nodes_t.T
     for j, att in enumerate(enc.attrs):
         joined = att.join[col[:, None, j], col[None, :, j]]
         cost_union += model.node_costs[j][joined]
@@ -239,27 +362,29 @@ def _broadcast_init(eng):
     rows = np.arange(n)
     dist = np.where(rows[:, None] < rows, dist, dist.T)
     np.fill_diagonal(dist, np.inf)
-    return dist, dist.min(axis=1), dist.argmin(axis=1)
+    second = np.partition(dist, 1, axis=1)[:, 1]
+    return dist, dist.min(axis=1), dist.argmin(axis=1), second
 
 
 def _prepared_engine(model, distance, groups):
-    """An engine whose first slot of each group holds the group's
+    """An engine whose first column of each group holds the group's
     closure, size and cost, as after a run of merges."""
     eng = _Engine.__new__(_Engine)
     eng._init_slots(model, distance, 4)
     enc = model.enc
     for group in groups:
-        slot = group[0]
-        eng.nodes[slot] = enc.closure_of_records(group)
-        eng.sizes[slot] = len(group)
-        eng.costs[slot] = float(model.record_cost(eng.nodes[slot]))
+        col = group[0]
+        eng.nodes_t[:, col] = enc.closure_of_records(group)
+        eng.sizes[col] = len(group)
+        eng.costs[col] = float(model.record_cost(eng.nodes_t[:, col]))
     return eng
 
 
 class TestBlockedInit:
     """``_init_distances`` fills the matrix in row blocks; the matrix,
-    ``row_min`` and ``row_arg`` must equal the broadcast's bit for bit,
-    whatever the block size."""
+    ``row_min``, ``row_arg`` and ``row_sec`` (the least entry other
+    than the argmin's) must equal the broadcast's bit for bit, whatever
+    the block size."""
 
     @pytest.mark.parametrize("rows_per_block", [None, 7, 1])
     @pytest.mark.parametrize("measure", ["lm", "entropy"])
@@ -279,10 +404,11 @@ class TestBlockedInit:
         for groups in (singletons, prepared):
             eng = _prepared_engine(model, get_distance(distance), groups)
             eng._init_distances()
-            matrix, row_min, row_arg = _broadcast_init(eng)
+            matrix, row_min, row_arg, row_sec = _broadcast_init(eng)
             assert eng.matrix.tobytes() == matrix.tobytes()
             assert eng.row_min.tobytes() == row_min.tobytes()
             assert np.array_equal(eng.row_arg, row_arg)
+            assert eng.row_sec.tobytes() == row_sec.tobytes()
 
     def test_checkpoints_once_per_block(self, monkeypatch):
         enc = EncodedTable(load("art", n=50, seed=2))
@@ -316,7 +442,7 @@ class _ClosureCheckedEngine(_Engine):
 
     def _refresh_row(self, x, freed):
         want = self.enc.closure_of_records(self.members[x])
-        assert self.nodes[x].tobytes() == want.tobytes()
+        assert self.nodes_t[:, x].tobytes() == want.tobytes()
         self.checked += 1
         super()._refresh_row(x, freed)
 
@@ -343,9 +469,11 @@ class TestMergedClosure:
         for _ in range(50):
             perm = rng.permutation(enc.num_records)
             left, right = perm[:3].tolist(), perm[3:7].tolist()
-            eng.nodes[0] = enc.closure_of_records(left)
-            eng.nodes[1] = enc.closure_of_records(right)
-            got = eng._merged_closure(eng.nodes[0], eng.nodes[1], left + right)
+            got = eng._merged_closure(
+                enc.closure_of_records(left),
+                enc.closure_of_records(right),
+                left + right,
+            )
             want = enc.closure_of_records(left + right)
             assert got.tobytes() == want.tobytes()
 
@@ -355,12 +483,12 @@ class TestMergedClosure:
         model = CostModel(enc, LMMeasure())
         eng = _Engine(model, get_distance("d3"), 3)
         left, right = [0, 1], [2]  # {a, b} and {d}
-        eng.nodes[0] = enc.closure_of_records(left)
-        eng.nodes[2] = enc.closure_of_records(right)
+        nodes_left = enc.closure_of_records(left)
+        nodes_right = enc.closure_of_records(right)
         want = enc.closure_of_records(left + right)
-        folded = enc.join_rows(eng.nodes[0], eng.nodes[2])
+        folded = enc.join_rows(nodes_left, nodes_right)
         assert folded.tobytes() != want.tobytes()  # the fold over-generalizes
-        got = eng._merged_closure(eng.nodes[0], eng.nodes[2], left + right)
+        got = eng._merged_closure(nodes_left, nodes_right, left + right)
         assert got.tobytes() == want.tobytes()
         checked = _ClosureCheckedEngine(model, get_distance("d3"), 3)
         checked.run(False)

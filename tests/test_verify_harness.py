@@ -1,4 +1,5 @@
-"""Tests for the fuzzing harness itself: budgets, reports, replay.
+"""Tests for the fuzzing harness itself: budgets, reports, replay, and
+the differential battery's check that no algorithm writes to its inputs.
 
 The central claim of ``repro.verify.harness`` is *replayability*: a
 failing case prints a command whose execution regenerates exactly the
@@ -9,10 +10,17 @@ case seed while the bug is still in place.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import repro.core.notions as notions
-from repro.verify.generators import random_instance
+import repro.verify.differential as differential
+from repro.core.agglomerative import _Engine
+from repro.core.distances import get_distance
+from repro.tabular.attribute import Attribute
+from repro.tabular.hierarchy import SubsetCollection
+from repro.tabular.table import Schema, Table
+from repro.verify.generators import Instance, InstanceConfig, random_instance
 from repro.verify.harness import FuzzReport, check_case, fuzz
 
 
@@ -91,6 +99,56 @@ class TestInjectedBugDetection:
     def test_clean_after_bug_removed(self):
         # monkeypatch from the fixture has been undone here.
         assert fuzz(seed=42, max_cases=5).ok
+
+
+class _ViewEngine(_Engine):
+    """The engine with its closure nodes as a transposed *view* of the
+    encoded singletons: for one attribute ``ascontiguousarray`` returns
+    the array it was given, so every merge writes into the encoding."""
+
+    def _init_slots(self, model, distance, k):
+        super()._init_slots(model, distance, k)
+        self.nodes_t = np.ascontiguousarray(self.enc.singleton_nodes.T)
+
+
+def _run_view_engine(model, cfg):
+    engine = _ViewEngine(model, get_distance(cfg.distance), cfg.k)
+    return differential._clustered(model, engine.run(cfg.modified))
+
+
+class TestInputMutation:
+    """Every algorithm shares one encoding per instance; a completed
+    run that writes to it must be reported, not only an aborted one."""
+
+    @pytest.fixture
+    def one_attribute(self):
+        config = InstanceConfig(
+            seed=0, k=3, notion="k", measure="lm", distance="d3",
+            expander="expansion", modified=False,
+        )
+        # Twelve distinct values: every merge generalizes, so a write
+        # through the view changes the encoded singletons.
+        values = [f"v{i}" for i in range(12)]
+        collection = SubsetCollection(
+            Attribute("a", values), [values[:6], values[6:]]
+        )
+        table = Table(Schema([collection]), [(v,) for v in values])
+        return Instance(table=table, config=config)
+
+    def test_view_engine_is_flagged(self, monkeypatch, one_attribute):
+        spec = differential.AlgorithmSpec("view-engine", "k", _run_view_engine)
+        monkeypatch.setattr(differential, "REGISTRY", (spec,))
+        violations = differential.differential_check(one_attribute)
+        mutated = [
+            v for v in violations if v.invariant == "differential.input-mutated"
+        ]
+        assert [v.detail for v in mutated] == [
+            "view-engine mutated enc.singleton_nodes"
+        ]
+
+    def test_registered_algorithms_leave_inputs_alone(self, one_attribute):
+        violations = differential.differential_check(one_attribute)
+        assert violations == []
 
 
 @pytest.mark.slow

@@ -129,9 +129,9 @@ def anonymize(
     notion:
         One of ``k``, ``1k``, ``k1``, ``kk``, ``global-1k``.
     measure:
-        Loss measure name (``entropy``/``em``, ``lm``, ``tree``) or a
-        :class:`LossMeasure` instance.  Drives both the algorithm's
-        objective and the reported cost.
+        Loss measure name (``entropy``/``em``, ``lm``, ``tree``,
+        ``mw``/``suppression``) or a :class:`LossMeasure` instance.
+        Drives both the algorithm's objective and the reported cost.
     algorithm:
         For ``notion="k"`` only: ``"agglomerative"`` (default),
         ``"forest"`` (the Aggarwal et al. baseline), ``"mondrian"``

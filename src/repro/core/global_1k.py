@@ -21,7 +21,10 @@ accounting), match sets are recomputed once per pass via the
 O(n+m) allowed-edge structure theorem (:mod:`repro.matching.allowed`);
 each deficient record receives one fix per pass, mirroring the paper's
 observation that "one such step was sufficient [...] in almost all of
-our experiments".
+our experiments".  A fix's price reads only the record's own row and
+the singleton rows, so the fixes of one pass are independent: they are
+priced in one batch of (record, non-match neighbour) pairs and applied
+together.
 """
 
 from __future__ import annotations
@@ -30,12 +33,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.k1 import first_min_per_group
 from repro.core.one_k import check_generalizes_rows
 from repro.errors import AnonymityError
 from repro.matching.allowed import allowed_edges
 from repro.matching.bipartite import ConsistencyGraph
 from repro.measures.base import CostModel, FusedJoinCost
 from repro.runtime import checkpoint
+
+#: (record, neighbour) pairs priced per batch: bounds the batch's
+#: working arrays to a few megabytes.
+_BATCH_PAIRS = 1 << 16
 
 
 @dataclass
@@ -56,6 +64,13 @@ def global_one_k_anonymize(
     max_passes: int | None = None,
 ) -> tuple[np.ndarray, GlobalConversionStats]:
     """Run Algorithm 6; returns (new node matrix, diagnostics).
+
+    Each pass recomputes the match sets, then prices every (deficient
+    record, non-match neighbour) pair with one elementwise call of the
+    fused join→cost kernel (in batches of about ``_BATCH_PAIRS`` pairs),
+    takes each record's first cheapest neighbour and applies all the
+    fixes with one ``join_rows`` call.  The result equals fixing the
+    records one at a time in index order.
 
     Parameters
     ----------
@@ -123,17 +138,58 @@ def global_one_k_anonymize(
                     stats.deficiency_histogram.get(gap, 0) + 1
                 )
         stats.passes += 1
-        for i in deficient:
-            neighbours = adjacency[i]
-            candidates = [j for j in neighbours if j not in allowed[i]]
-            if not candidates:  # pragma: no cover - excluded by the degree check
-                raise AnonymityError(
-                    f"record {i}: no non-match neighbours to upgrade"
+        records = np.asarray(deficient, dtype=np.int64)
+        # Consecutive runs of records with about _BATCH_PAIRS pairs each.
+        ends = np.cumsum(degrees[records])
+        cuts = np.searchsorted(
+            ends, np.arange(_BATCH_PAIRS, ends[-1], _BATCH_PAIRS), side="right"
+        )
+        picks = np.concatenate(
+            [
+                _cheapest_upgrades(
+                    fused, singles_t, graph.adjacency, allowed, nodes, part
                 )
-            cand = np.asarray(candidates, dtype=np.int64)
-            # d_h = c(R_jh + R̄_i) − c(R̄_i), R_jh the original record j_h.
-            cost_new = fused.costs(singles_t[:, cand], nodes[i])
-            h = int(cost_new.argmin())  # c(R̄_i) is constant; min d_h = min c
-            nodes[i] = enc.join_rows(enc.singleton_nodes[cand[h]], nodes[i])
-            stats.fixes += 1
+                for part in np.split(records, cuts)
+                if part.size
+            ]
+        )
+        nodes[records] = enc.join_rows(
+            enc.singleton_nodes[picks], nodes[records]
+        )
+        stats.fixes += records.size
     return nodes, stats
+
+
+def _cheapest_upgrades(
+    fused: FusedJoinCost,
+    singles_t: np.ndarray,
+    adjacency: list[np.ndarray],
+    allowed: list[set[int]],
+    nodes: np.ndarray,
+    records: np.ndarray,
+) -> np.ndarray:
+    """Each record's non-match neighbour j_h minimizing d_h, the first
+    in neighbour order on ties, from one elementwise pricing of every
+    (record, non-match neighbour) pair.
+
+    d_h = c(R_jh + R̄_i) − c(R̄_i), R_jh the original record j_h, and
+    c(R̄_i) is constant per record, so the least d_h is the least union
+    cost.  Each price reads only the record's own row and a singleton
+    row, so the fixes of one pass are independent of each other.
+    """
+    n = len(adjacency)
+    rows = records.tolist()
+    lists = [adjacency[i] for i in rows]
+    neighbour = np.concatenate(lists)
+    owner = np.repeat(records, [len(a) for a in lists])
+    matches = np.sort(
+        np.fromiter((i * n + j for i in rows for j in allowed[i]), np.int64)
+    )
+    keys = owner * n + neighbour
+    hit = matches[np.searchsorted(matches, keys).clip(max=matches.size - 1)]
+    upgrade = hit != keys
+    owner, neighbour = owner[upgrade], neighbour[upgrade]
+    # Every record keeps a pair: its degree is ≥ k > its match count.
+    costs = fused.elementwise_costs(singles_t[:, neighbour], nodes.T[:, owner])
+    first = first_min_per_group(np.searchsorted(owner, records), costs)
+    return neighbour[first]

@@ -291,6 +291,26 @@ class FusedJoinCost:
         with one anchor ``node_b``."""
         return self.costs(np.asarray(nodes_a).T, node_b)
 
+    def elementwise_costs(
+        self, rows_t: np.ndarray, anchors_t: np.ndarray
+    ) -> np.ndarray:
+        """``[m]`` union costs, pair i priced as ``join(row i, anchor i)``.
+
+        ``rows_t`` and ``anchors_t`` are both ``[r, m]`` (attribute-major).
+        Entry i is bit-identical to ``costs(rows_t, anchors_t.T)[i, i]``:
+        the same ``join[row, anchor]`` lookup, left-to-right sum and one
+        division by ``r``, without the ``m × m`` block.
+        """
+        return self._sum(
+            self._costs[j].take(
+                self._joins[j].ravel().take(
+                    np.multiply(rows_t[j], len(self._joins[j]), dtype=np.intp)
+                    + anchors_t[j]
+                )
+            )
+            for j in range(self._r)
+        )
+
 
 class FixedRowJoinCost:
     """:meth:`FusedJoinCost.costs` of one fixed row set, against many

@@ -1,7 +1,8 @@
 """Measure registry: look up loss measures by name.
 
 The experiment harness and CLI refer to measures by short string names
-("entropy"/"em", "lm", "tree"); this module resolves them.
+("entropy"/"em", "lm", "tree", "mw"/"suppression"); this module
+resolves them.
 """
 
 from __future__ import annotations

@@ -36,6 +36,8 @@ METRIC_NAMES: FrozenSet[str] = frozenset(
         "core.agglomerative.records_expelled",
         "core.agglomerative.row_rescans",
         "core.agglomerative.shrink_candidates",
+        # core ((k,1) family)
+        "core.k1.pairs_priced",
         # experiments
         "experiments.cell_seconds",
         # matching

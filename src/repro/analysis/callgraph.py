@@ -2,8 +2,8 @@
 
 Built from the same parsed :class:`~repro.analysis.rules.ModuleContext`
 list the lint engine already holds, the graph answers the reachability
-questions the semantic rules (REP010/REP011) and the ROADMAP's planner
-and serving PRs need:
+questions the semantic rules (REP010/REP011) ask, and that other tools
+(a cost planner, serving checks) can ask too:
 
 * *which functions can a ProcessPool worker execute?* (fork-safety)
 * *does every registered algorithm reach ``runtime.checkpoint``?*

@@ -17,9 +17,8 @@ A module may import only from *strictly lower* layers (or from its own
 subpackage).  Same-layer cross-package imports are back-edges too:
 allowing ``matching -> measures`` today is how the
 ``matching <-> measures`` cycle appears tomorrow, and cycles are
-exactly what blocks the ROADMAP's sharding/multi-backend refactors
-(a backend must be able to depend on ``core`` without dragging the CLI
-along).  The package facade (``__init__`` at the scan root) is exempt:
+exactly what blocks splitting a layer out (a new consumer must be able
+to depend on ``core`` without dragging the CLI along).  The package facade (``__init__`` at the scan root) is exempt:
 re-exporting from every layer is its job.
 
 Layer keys may be *dotted*: a map entry ``"runtime.fallback": 4``

@@ -8,7 +8,8 @@ information loss, and diagnostics.
 
     >>> result = anonymize(table, k=10, notion="kk", measure="entropy")
     >>> result.cost            # Π_E(D, g(D))
-    >>> result.generalized     # the GeneralizedTable to publish
+    >>> result.node_matrix     # the generalization as node indices
+    >>> result.generalized     # the GeneralizedTable to publish (decoded lazily)
 
 Notions and the algorithms behind them:
 
@@ -27,6 +28,7 @@ notion         algorithm
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -50,12 +52,17 @@ from repro.tabular.table import GeneralizedTable, Table
 
 @dataclass
 class AnonymizationResult:
-    """Everything produced by one :func:`anonymize` call."""
+    """Everything produced by one :func:`anonymize` call.
+
+    The generalization is :attr:`node_matrix`; the publishable
+    :attr:`generalized` table is decoded from it only when first read,
+    so callers that need node indices or labels alone (the service
+    renders its rows from the node matrix) never build record objects.
+    """
 
     table: Table  #: the original table
     encoded: EncodedTable  #: its encoding (reusable for audits)
     node_matrix: np.ndarray  #: the generalization as ``[n, r]`` node indices
-    generalized: GeneralizedTable  #: the publishable generalized table
     notion: str  #: requested anonymity notion
     k: int  #: requested anonymity parameter
     algorithm: str  #: algorithm actually used
@@ -65,6 +72,13 @@ class AnonymizationResult:
     clustering: Clustering | None = None  #: for clustering-based notions
     stats: dict[str, Any] = field(default_factory=dict)  #: extra diagnostics
 
+    @cached_property
+    def generalized(self) -> GeneralizedTable:
+        """The publishable generalized table: :attr:`node_matrix` decoded
+        by :meth:`~repro.tabular.encoding.EncodedTable.decode_table` on
+        first access, then cached."""
+        return self.encoded.decode_table(self.node_matrix)
+
     @property
     def backend(self) -> str:
         """Always ``"python"``: there is one agglomerative engine.
@@ -73,7 +87,7 @@ class AnonymizationResult:
         """
         return "python"
 
-    def verify(self, with_matches: bool | None = None) -> bool:
+    def verify(self) -> bool:
         """Re-check that the result satisfies its requested notion."""
         return satisfies(self.encoded, self.node_matrix, self.notion, self.k)
 
@@ -153,7 +167,9 @@ def anonymize(
     -------
     :class:`AnonymizationResult`, whose generalization is guaranteed (and
     re-checkable via :meth:`AnonymizationResult.verify`) to satisfy the
-    requested notion.
+    requested notion.  The call computes the node matrix and its cost;
+    the :class:`GeneralizedTable` is decoded only when
+    :attr:`AnonymizationResult.generalized` is first read.
     """
     notion = notion.lower()
     if notion not in NOTIONS and notion not in ("g1k", "global"):
@@ -239,13 +255,11 @@ def anonymize(
         notion = "global-1k"
     elapsed = timer.elapsed()
 
-    gtable = enc.decode_table(node_matrix)
     cost = model.table_cost(node_matrix)
     return AnonymizationResult(
         table=table,
         encoded=enc,
         node_matrix=node_matrix,
-        generalized=gtable,
         notion=notion,
         k=k,
         algorithm=algo_name,

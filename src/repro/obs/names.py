@@ -69,6 +69,7 @@ METRIC_NAMES: FrozenSet[str] = frozenset(
         "serve.cache.entries",
         "serve.cache.fingerprints",
         "serve.cache.journal_bytes",
+        "serve.cache.tables",
         "serve.gate.depth",
         # serve — histograms
         "serve.request_seconds",

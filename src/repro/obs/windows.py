@@ -17,7 +17,7 @@ nothing and there is no background thread to schedule (or to make
 tests flaky).
 
 This module also owns the ``OBS_*.jsonl`` snapshot journal — the
-committed artifact the cost-model planner (ROADMAP item 2) fits
+committed work-unit counts a cost model of the layers can be fitted
 against.  Appends are flush+fsync whole lines and the loader tolerates
 a torn tail, mirroring ``Tracer``'s crash posture.  The journal I/O is
 local on purpose: ``repro.obs`` sits below ``repro.runtime`` in the

@@ -158,7 +158,7 @@ class BenchReport:
         (joinable against the ``BENCH_<stamp>.json`` baseline), the
         embedded work-unit snapshot (empty when the run collected no
         metrics) and per-case median seconds — the committed artifact
-        the cost-model planner (ROADMAP item 2) fits against.
+        a cost model of the layers can be fitted against.
         """
         return append_obs_record(
             path,

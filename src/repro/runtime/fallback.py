@@ -172,13 +172,11 @@ def _suppress_all(
         measure_obj = get_measure(measure)
         model = CostModel(enc, measure_obj)
         cost = model.table_cost(node_matrix)
-        generalized = enc.decode_table(node_matrix)
     count("runtime.fallback.records_suppressed", n)
     return AnonymizationResult(
         table=table,
         encoded=enc,
         node_matrix=node_matrix,
-        generalized=generalized,
         notion="k",
         k=k,
         algorithm="suppress-all",

@@ -93,8 +93,8 @@ class ResultCache:
     def journal_bytes(self) -> int:
         """Current size of the backing journal file in bytes.
 
-        The journal is append-only with no compaction (ROADMAP item 3),
-        so this number only grows; surfacing it as the
+        The journal is append-only, with no compaction yet, so this
+        number only grows; surfacing it as the
         ``serve.cache.journal_bytes`` gauge makes that growth visible
         on ``/metricz`` instead of discovered at disk-full.  Returns 0
         for a memory-only cache or a journal not yet written.

@@ -190,9 +190,18 @@ def build_body(
     Everything here is a pure function of the request and the winning
     result: per-attempt timings are deliberately excluded (they live in
     the volatile ``meta`` block) so two runs that degrade identically
-    produce byte-identical bodies.
+    produce byte-identical bodies.  The rows are rendered straight from
+    ``result.node_matrix`` through each collection's per-node label
+    memo, the same strings ``result.generalized.labels()`` gives,
+    without decoding the result into record objects.
     """
     degraded = report.winner is not None and report.winner != primary_rung
+    columns = [
+        [collection.node_label(node) for node in column]
+        for collection, column in zip(
+            table.schema.collections, result.node_matrix.T.tolist()
+        )
+    ]
     return {
         "guarantee": {
             "requested_notion": request.notion,
@@ -207,7 +216,7 @@ def build_body(
             "num_records": table.num_records,
             "measure": result.measure,
             "cost": result.cost,
-            "rows": [list(row) for row in result.generalized.labels()],
+            "rows": [list(row) for row in zip(*columns)],
             "stats": dict(result.stats),
         },
         "fallback": {

@@ -16,14 +16,20 @@ drill and the serve bench all drive it directly):
    dataset is a pure function of ``(dataset, n, seed)``, so the service
    memoizes each triple's fingerprint and size in an LRU bounded by
    :data:`FINGERPRINT_MEMO_SIZE`: a request on a memoized triple checks
-   ``k ≤ n`` and looks up the cache without loading the table, which
-   it loads only on a miss.  The first request on a triple, and every
-   request through an injected loader (which bypasses the memo), loads
-   and fingerprints the table first.
+   ``k ≤ n`` and looks up the cache without loading the table.  The
+   first request on a triple, and every request through an injected
+   loader (which bypasses the memo), loads and fingerprints the table
+   first.
 4. **execute** — run the :mod:`repro.runtime.fallback` degradation
    chain under the request's :class:`~repro.runtime.Deadline`, guarded
    by retry and the breaker; the winning rung lands in the response's
-   guarantee block.
+   guarantee block.  A miss on a registry triple takes the table and
+   its :class:`~repro.tabular.encoding.EncodedTable` from a second LRU,
+   bounded by :data:`TABLE_MEMO_RECORDS`, so each triple is loaded and
+   encoded once per service while it stays memoized; the algorithms
+   only read an encoding, so sharing one serves exactly what a fresh
+   load would.  Injected loaders bypass this memo too: their tables
+   are loaded and encoded on every miss.
 5. **store** — persist the deterministic body through the crash-safe
    cache journal *after* the deadline scope is exited, so a result in
    hand is never discarded because storing it ran past the SLO.
@@ -42,7 +48,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Generic, TypeVar
 
 from repro.datasets.registry import load as load_dataset
 from repro.errors import (
@@ -85,6 +91,7 @@ from repro.serve.protocol import (
     ok_envelope,
     shed_envelope,
 )
+from repro.tabular.encoding import EncodedTable
 from repro.tabular.table import Table
 
 #: Resolves a request to the table it names (injectable for tests that
@@ -95,10 +102,69 @@ TableLoader = Callable[[AnonymizeRequest], Table]
 #: service remembers; the least recently used falls out past the bound.
 FINGERPRINT_MEMO_SIZE = 1024
 
+#: Records the table memo holds at most, summed over its tables, each
+#: charged :data:`TABLE_MEMO_OVERHEAD_RECORDS` on top of its own.  A
+#: table and its encoding retain about 400 bytes per record at n = 5000
+#: (tracemalloc: ADT 1.9 MB, CMC 2.0 MB, ART 1.1 MB), so the bound is
+#: about 26 MB.  A table charged more than the bound is never memoized.
+TABLE_MEMO_RECORDS = 1 << 16
+
+#: Records charged per memoized table for what it retains whatever its
+#: size (its schema, hierarchies and join tables): an ADT table of one
+#: record retains 0.25 MB, 640 records at 400 bytes each.
+TABLE_MEMO_OVERHEAD_RECORDS = 640
+
+_K = TypeVar("_K")
+_V = TypeVar("_V")
+
+#: A registry triple, the key of both memos.
+_Triple = tuple[str, int | None, int]
+
 
 def default_loader(request: AnonymizeRequest) -> Table:
     """Load the registry dataset a request names."""
     return load_dataset(request.dataset, n=request.n, seed=request.seed)
+
+
+class _LRU(Generic[_K, _V]):
+    """A least-recently-used map bounded by the summed weight of its values.
+
+    Unlocked: the service guards both of its memos with one lock.
+    """
+
+    def __init__(self, bound: int) -> None:
+        self.bound = bound
+        self.weight = 0  #: summed weight of the entries held
+        self._entries: OrderedDict[_K, tuple[_V, int]] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: _K) -> _V | None:
+        """The value under ``key``, now the most recently used, or None."""
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        self._entries.move_to_end(key)
+        return entry[0]
+
+    def add(self, key: _K, value: _V, weight: int = 1) -> None:
+        """Hold ``value`` under ``key``, then evict the least recently used
+        entries until the rest fit the bound.
+
+        A held key keeps its first value (racing inserts computed the
+        same one); a value heavier than the whole bound is not held.
+        """
+        if key in self._entries:
+            self._entries.move_to_end(key)
+            return
+        if weight > self.bound:
+            return
+        self._entries[key] = (value, weight)
+        self.weight += weight
+        while self.weight > self.bound:
+            _, (_, evicted) = self._entries.popitem(last=False)
+            self.weight -= evicted
 
 
 @dataclass(frozen=True)
@@ -221,11 +287,15 @@ class AnonymizationService:
             clock=clock,
         )
         self._ids = itertools.count(1)
-        # (dataset, n, seed) -> (fingerprint, num_records), LRU order.
-        self._fingerprints: OrderedDict[
-            tuple[str, int | None, int], tuple[str, int]
-        ] = OrderedDict()
-        self._fp_lock = threading.Lock()
+        # Registry triple -> (fingerprint, num_records), and -> (table,
+        # encoding); one lock guards both.
+        self._fingerprints: _LRU[_Triple, tuple[str, int]] = _LRU(
+            FINGERPRINT_MEMO_SIZE
+        )
+        self._tables: _LRU[_Triple, tuple[Table, EncodedTable]] = _LRU(
+            TABLE_MEMO_RECORDS
+        )
+        self._memo_lock = threading.Lock()
 
     # ----------------------------------------------------------------- #
 
@@ -298,7 +368,7 @@ class AnonymizationService:
         both workload counters and service health — gate depth, breaker
         state (0 closed / 1 half-open / 2 open), cache entries, the
         cache journal's unbounded on-disk size, and the entries of the
-        bounded fingerprint memo.
+        bounded fingerprint and table memos.
         """
         gate = self.gate.stats()
         breaker_states = {"closed": 0.0, "half-open": 1.0, "open": 2.0}
@@ -314,9 +384,11 @@ class AnonymizationService:
         registry.set_gauge(
             "serve.cache.journal_bytes", float(self.cache.journal_bytes())
         )
-        with self._fp_lock:
-            memoized = len(self._fingerprints)
-        registry.set_gauge("serve.cache.fingerprints", float(memoized))
+        with self._memo_lock:
+            fingerprints = len(self._fingerprints)
+            tables = len(self._tables)
+        registry.set_gauge("serve.cache.fingerprints", float(fingerprints))
+        registry.set_gauge("serve.cache.tables", float(tables))
 
     def _record_flight(
         self, envelope: dict[str, Any], seconds: float
@@ -487,8 +559,7 @@ class AnonymizationService:
             body = self.cache.get(key)
         if body is not None:
             return ok_envelope(request, body, cache_hit=True)
-        if table is None:
-            table = self.loader(request)
+        table, encoded = self._encoded(request, table)
 
         chain = chain_for(request.notion)
         # One deadline spanning every retry attempt: the budget is the
@@ -507,6 +578,7 @@ class AnonymizationService:
                     overall_timeout=deadline.remaining(),
                     rung_timeout=self.config.rung_timeout,
                     clock=self.clock,
+                    encoded=encoded,
                 )
 
         with span("serve.execute", notion=request.notion, k=request.k):
@@ -550,12 +622,8 @@ class AnonymizationService:
         """
         if self.loader is not default_loader:
             return None
-        memo_key = (request.dataset, request.n, request.seed)
-        with self._fp_lock:
-            entry = self._fingerprints.get(memo_key)
-            if entry is not None:
-                self._fingerprints.move_to_end(memo_key)
-        return entry
+        with self._memo_lock:
+            return self._fingerprints.get(_triple(request))
 
     def _fingerprint(self, request: AnonymizeRequest, table: Table) -> str:
         """Hash a loaded table; remember a registry triple's result.
@@ -566,10 +634,42 @@ class AnonymizationService:
         """
         fingerprint = table_fingerprint(table)
         if self.loader is default_loader:
-            memo_key = (request.dataset, request.n, request.seed)
-            with self._fp_lock:
-                self._fingerprints[memo_key] = (fingerprint, table.num_records)
-                self._fingerprints.move_to_end(memo_key)
-                while len(self._fingerprints) > FINGERPRINT_MEMO_SIZE:
-                    self._fingerprints.popitem(last=False)
+            with self._memo_lock:
+                self._fingerprints.add(
+                    _triple(request), (fingerprint, table.num_records)
+                )
         return fingerprint
+
+    def _encoded(
+        self, request: AnonymizeRequest, table: Table | None
+    ) -> tuple[Table, EncodedTable]:
+        """The table a miss runs on (``table`` if already loaded), with
+        its encoding.
+
+        A registry triple's pair comes from the table memo, which holds
+        it only once both the load and the encode have succeeded; two
+        racing misses on one triple may both load, and the first insert
+        stays.  An injected loader's table is encoded afresh.
+        """
+        if self.loader is not default_loader:
+            table = table if table is not None else self.loader(request)
+            return table, EncodedTable(table)
+        triple = _triple(request)
+        with self._memo_lock:
+            entry = self._tables.get(triple)
+        if entry is not None:
+            return entry
+        table = table if table is not None else self.loader(request)
+        entry = (table, EncodedTable(table))
+        with self._memo_lock:
+            self._tables.add(
+                triple,
+                entry,
+                table.num_records + TABLE_MEMO_OVERHEAD_RECORDS,
+            )
+        return entry
+
+
+def _triple(request: AnonymizeRequest) -> _Triple:
+    """The registry triple a request names: the key of both memos."""
+    return (request.dataset, request.n, request.seed)

@@ -138,6 +138,11 @@ class EncodedTable:
         # record sets thousands of times per run (merges, Algorithm 2
         # shrinks); for the generic SubsetCollection each closure is a
         # linear node scan, so the memo turns the hot path into a dict hit.
+        # It is the one member an algorithm writes.  The service shares
+        # one encoding per registry table across requests and threads;
+        # registry collections have exact joins, under which every rung
+        # of its chains closes clusters by join-table folds, so there
+        # the memo stays empty (tests/test_serve.py pins it).
         self._closure_cache: dict[tuple[int, bytes], int] = {}
 
         # All per-attribute join tables concatenated flat, so a whole

@@ -19,8 +19,9 @@ catalogue covers:
 * **matching correctness**: Hopcroft–Karp agrees with the brute-force
   Kuhn matcher on maximum matching size, and the SCC-based allowed-edge
   computation agrees with the paper's naive per-edge test;
-* **unmutated inputs**: an algorithm, completed or aborted, leaves the
-  encoded arrays it shares with every other algorithm byte-identical.
+* **unmutated inputs**: an algorithm, completed or aborted, leaves every
+  array of the encoding it shares with every other algorithm (and, in
+  the service, with every later request) byte-identical.
 
 The fuzzing harness (:mod:`repro.verify.harness`) strings these together
 over random instances; the invariants are equally usable one-off from a
@@ -58,13 +59,38 @@ class Violation:
 # unmutated inputs
 # ---------------------------------------------------------------------- #
 
-#: The encoded arrays one instance shares across every algorithm run.
-_SHARED_ARRAYS = ("codes", "singleton_nodes", "unique_codes")
+#: The arrays an :class:`EncodedTable` holds itself; each
+#: :class:`~repro.tabular.encoding.EncodedAttribute` adds
+#: :data:`_ATTRIBUTE_ARRAYS` and each attribute a ``value_counts`` array.
+_SHARED_ARRAYS = (
+    "codes",
+    "singleton_nodes",
+    "unique_codes",
+    "unique_inverse",
+    "unique_counts",
+    "unique_singleton_nodes",
+    "_join_flat",
+    "_join_offsets",
+    "_join_cols",
+)
+_ATTRIBUTE_ARRAYS = ("join", "anc", "sizes", "singleton")
+
+
+def _shared_arrays(enc: EncodedTable) -> dict[str, np.ndarray]:
+    """Every array ``enc`` holds, under the name a report gives it."""
+    arrays = {name: getattr(enc, name) for name in _SHARED_ARRAYS}
+    for j, counts in enumerate(enc.value_counts):
+        arrays[f"value_counts[{j}]"] = counts
+    for j, att in enumerate(enc.attrs):
+        for name in _ATTRIBUTE_ARRAYS:
+            arrays[f"attrs[{j}].{name}"] = getattr(att, name)
+    return arrays
 
 
 def snapshot_inputs(enc: EncodedTable) -> dict[str, np.ndarray]:
-    """Copies of the encoded arrays an algorithm must not mutate."""
-    return {name: getattr(enc, name).copy() for name in _SHARED_ARRAYS}
+    """Copies of the encoded arrays an algorithm must not mutate: every
+    array the encoding holds, since one encoding serves many runs."""
+    return {name: array.copy() for name, array in _shared_arrays(enc).items()}
 
 
 def check_inputs_unmutated(
@@ -75,10 +101,11 @@ def check_inputs_unmutated(
 ) -> list[Violation]:
     """One ``invariant`` violation per array of :func:`snapshot_inputs`
     that ``enc`` no longer holds as ``before`` recorded it."""
+    current = _shared_arrays(enc)
     return [
         Violation(invariant, f"{label} mutated enc.{name}")
         for name, saved in before.items()
-        if not np.array_equal(getattr(enc, name), saved)
+        if not np.array_equal(current[name], saved)
     ]
 
 

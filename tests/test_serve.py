@@ -17,6 +17,8 @@ import urllib.request
 
 import pytest
 
+from repro.datasets.registry import dataset_names
+from repro.datasets.registry import load as load_dataset
 from repro.errors import RequestError, ReproError, ServiceOverloaded
 from repro.obs import (
     MetricsRegistry,
@@ -25,16 +27,18 @@ from repro.obs import (
     metrics_scope,
 )
 from repro.runtime import FaultPlan, Journal, fault_scope
-from repro.runtime.fallback import DEFAULT_CHAIN, run_with_fallback
+from repro.runtime.fallback import DEFAULT_CHAIN, Rung, run_with_fallback
 from repro.runtime.retry import RetryPolicy
 from repro.serve import service as service_module
 from repro.serve import (
+    VALID_NOTIONS,
     AdmissionGate,
     AnonymizationService,
     AnonymizeRequest,
     CircuitBreaker,
     ResultCache,
     ServiceConfig,
+    build_body,
     cache_key,
     canonical_body,
     chain_for,
@@ -49,8 +53,10 @@ from repro.serve import (
     table_fingerprint,
 )
 from repro.tabular.attribute import Attribute
+from repro.tabular.encoding import EncodedTable
 from repro.tabular.hierarchy import SubsetCollection, from_groups
 from repro.tabular.table import Schema, Table
+from repro.verify.invariants import check_inputs_unmutated, snapshot_inputs
 
 from tests.conftest import make_random_table
 
@@ -565,21 +571,28 @@ class TestService:
 # --------------------------------------------------------------------- #
 
 
+@pytest.fixture
+def loads(monkeypatch):
+    """Every registry load the service makes, in order."""
+    calls = []
+    load = service_module.load_dataset
+
+    def counting_load(*args, **kwargs):
+        calls.append(args)
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(service_module, "load_dataset", counting_load)
+    return calls
+
+
+def _gauges(service: AnonymizationService) -> dict:
+    service.refresh_health_gauges()
+    return service.registry.snapshot()["gauges"]
+
+
 class TestLoadFreeHits:
     """A registry triple's fingerprint and size are memoized, so a hit
     on it never regenerates the dataset; injected loaders bypass that."""
-
-    @pytest.fixture
-    def loads(self, monkeypatch):
-        calls = []
-        load = service_module.load_dataset
-
-        def counting_load(*args, **kwargs):
-            calls.append(args)
-            return load(*args, **kwargs)
-
-        monkeypatch.setattr(service_module, "load_dataset", counting_load)
-        return calls
 
     def test_hit_loads_nothing_and_serves_the_miss_body(self, loads):
         service = _service()
@@ -589,9 +602,10 @@ class TestLoadFreeHits:
         assert hit["meta"]["cache_hit"]
         assert len(loads) == 1
         assert canonical_body(hit) == canonical_body(miss)
-        # A miss on a memoized triple still loads, but hashes nothing new.
+        # A miss on a memoized triple runs on the memoized table and its
+        # encoding: it neither loads nor hashes anything new.
         other = service.handle(_request(k=3))
-        assert not other["meta"]["cache_hit"] and len(loads) == 2
+        assert not other["meta"]["cache_hit"] and len(loads) == 1
 
     def test_k_above_n_on_a_memoized_triple_is_the_same_400(self, loads):
         fresh = _service().handle(_request(k=100))
@@ -618,6 +632,12 @@ class TestLoadFreeHits:
         assert second["meta"]["cache_hit"]
         assert canonical_body(first) == canonical_body(second)
         assert len(calls) == len(loads) == 2
+        third = service.handle(_request(k=3))  # misses bypass both memos
+        assert not third["meta"]["cache_hit"]
+        assert len(calls) == len(loads) == 3
+        gauges = _gauges(service)
+        assert gauges["serve.cache.fingerprints"] == 0.0
+        assert gauges["serve.cache.tables"] == 0.0
 
     def test_evicted_triple_reloads_to_the_same_fingerprint(
         self, loads, monkeypatch
@@ -627,9 +647,7 @@ class TestLoadFreeHits:
         for n in (30, 31, 32):  # the n=30 triple falls out of the memo
             assert service.handle(_request(n=n))["status"] == "ok"
         assert len(loads) == 3
-        service.refresh_health_gauges()
-        gauges = service.registry.snapshot()["gauges"]
-        assert gauges["serve.cache.fingerprints"] == 2.0
+        assert _gauges(service)["serve.cache.fingerprints"] == 2.0
         again = service.handle(_request(n=30))
         assert len(loads) == 4  # evicted: loaded and hashed again...
         assert again["meta"]["cache_hit"]  # ...to the same cache key
@@ -666,9 +684,7 @@ class TestLoadFreeHits:
         for n in range(4):  # every answer for one triple is one body
             bodies = {canonical_body(env) for m, env in envelopes if m == n}
             assert len(bodies) == 1
-        service.refresh_health_gauges()
-        gauges = service.registry.snapshot()["gauges"]
-        assert gauges["serve.cache.fingerprints"] == 2.0
+        assert _gauges(service)["serve.cache.fingerprints"] == 2.0
 
     def test_memo_size_is_a_metricz_gauge(self):
         service = _service()
@@ -683,6 +699,211 @@ class TestLoadFreeHits:
         finally:
             server.shutdown()
             server.server_close()
+
+
+# --------------------------------------------------------------------- #
+# load- and encode-once misses (the bounded table memo)
+# --------------------------------------------------------------------- #
+
+
+def _table_bound(*sizes: int) -> int:
+    """A table-memo bound that holds exactly tables of these sizes."""
+    return sum(n + service_module.TABLE_MEMO_OVERHEAD_RECORDS for n in sizes)
+
+
+def _fresh_body(**overrides) -> str:
+    """The body a service computes on a fresh load, outside every memo
+    (an injected loader, and a load the ``loads`` fixture does not see)."""
+
+    def fresh_load(request):
+        return load_dataset(request.dataset, n=request.n, seed=request.seed)
+
+    service = _service(loader=fresh_load)
+    return canonical_body(service.handle(_request(**overrides)))
+
+
+class TestTableMemo:
+    """A miss on a registry triple runs on the memoized table and its
+    encoding: every triple is loaded and encoded once while memoized,
+    and every body is the one a fresh load would give."""
+
+    def test_lru_keeps_the_first_insert_and_evicts_by_weight(self):
+        lru = service_module._LRU(10)
+        lru.add("a", 1, 4)
+        lru.add("a", 2, 4)  # a racing second insert of the same key
+        assert lru.get("a") == 1 and lru.weight == 4
+        lru.add("b", 3, 5)
+        lru.get("a")  # "b" is now the least recently used
+        lru.add("c", 4, 5)
+        assert (lru.get("b"), lru.get("a"), lru.get("c")) == (None, 1, 4)
+        lru.add("d", 5, 11)  # heavier than the bound: held never, and
+        assert len(lru) == 2 and lru.weight == 9  # nothing evicted for it
+
+    @pytest.mark.parametrize("dataset", dataset_names())
+    def test_chains_share_one_encoding(self, dataset):
+        table = load_dataset(dataset, n=150, seed=1)
+        shared = EncodedTable(table)
+        before = snapshot_inputs(shared)
+        for notion in VALID_NOTIONS:
+            chain = chain_for(notion)
+            for measure in ("lm", "entropy"):
+                request = AnonymizeRequest(
+                    k=3, dataset=dataset, n=150, seed=1,
+                    notion=notion, measure=measure,
+                )
+                bodies = []
+                for enc in (shared, EncodedTable(table)):
+                    outcome = run_with_fallback(
+                        table, 3, chain=chain, measure=measure, encoded=enc
+                    )
+                    body = build_body(
+                        request, table, outcome.require(), outcome.report,
+                        chain[0].name,
+                    )
+                    bodies.append(canonical_body({"body": body}))
+                assert bodies[0] == bodies[1], (notion, measure)
+        assert check_inputs_unmutated(shared, before, "shared", "chains") == []
+        # The one member an algorithm writes: registry collections have
+        # exact joins, under which every rung closes clusters by join
+        # folds, so a memoized encoding's closure memo stays empty.
+        assert shared._closure_cache == {}
+
+    @pytest.mark.parametrize("dataset", ["art", "cmc", "adult"])
+    def test_rows_are_the_decoded_labels(self, dataset):
+        table = load_dataset(dataset, n=40, seed=2)
+        enc = EncodedTable(table)
+        request = AnonymizeRequest(k=3, dataset=dataset, n=40, seed=2)
+        suppress = (Rung("suppress", algorithm="suppress"),)
+        for chain in [chain_for(notion) for notion in VALID_NOTIONS] + [suppress]:
+            outcome = run_with_fallback(table, 3, chain=chain, encoded=enc)
+            result = outcome.require()
+            body = build_body(
+                request, table, result, outcome.report, chain[0].name
+            )
+            assert body["result"]["rows"] == [
+                list(row) for row in result.generalized.labels()
+            ]
+            assert result.generalized is result.generalized  # decoded once
+
+    def test_misses_load_and_encode_once_per_triple(self, loads, monkeypatch):
+        keys = [(n, k) for k in (2, 3, 4) for n in (30, 31)]
+        expected = {key: _fresh_body(n=key[0], k=key[1]) for key in keys}
+        encodes = []
+        encoded_table = service_module.EncodedTable
+
+        def counting_encode(table):
+            encodes.append(table)
+            return encoded_table(table)
+
+        monkeypatch.setattr(service_module, "EncodedTable", counting_encode)
+        service = _service()
+        for n, k in keys:
+            envelope = service.handle(_request(n=n, k=k))
+            assert not envelope["meta"]["cache_hit"]
+            assert canonical_body(envelope) == expected[n, k]
+        assert len(loads) == 2 and len(encodes) == 2
+        assert _gauges(service)["serve.cache.tables"] == 2.0
+
+    def test_evicted_triple_reloads_to_the_same_fingerprint_and_body(
+        self, loads, monkeypatch
+    ):
+        monkeypatch.setattr(service_module, "FINGERPRINT_MEMO_SIZE", 2)
+        monkeypatch.setattr(
+            service_module, "TABLE_MEMO_RECORDS", _table_bound(31, 32)
+        )
+        service = _service()
+        first = service.handle(_request(n=30))
+        for n in (31, 32):  # the n=30 triple falls out of both memos
+            assert service.handle(_request(n=n))["status"] == "ok"
+        assert len(loads) == 3
+        assert _gauges(service)["serve.cache.tables"] == 2.0
+        again = service.handle(_request(n=30))
+        assert len(loads) == 4  # loaded and hashed again...
+        assert again["meta"]["cache_hit"]  # ...to the same cache key
+        assert canonical_body(again) == canonical_body(first)
+        miss = service.handle(_request(n=30, k=3))
+        assert len(loads) == 5  # a hit memoizes no table; this miss does
+        assert canonical_body(miss) == _fresh_body(n=30, k=3)
+        assert service.handle(_request(n=30, k=4))["status"] == "ok"
+        assert len(loads) == 5
+        assert _gauges(service)["serve.cache.tables"] == 2.0
+
+    def test_table_above_the_bound_is_served_but_not_memoized(
+        self, loads, monkeypatch
+    ):
+        monkeypatch.setattr(
+            service_module, "TABLE_MEMO_RECORDS", _table_bound(30)
+        )
+        service = _service()
+        service.handle(_request(n=30))
+        for k in (2, 3):  # n=31 is charged more than the whole bound
+            envelope = service.handle(_request(n=31, k=k))
+            assert not envelope["meta"]["cache_hit"]
+            assert canonical_body(envelope) == _fresh_body(n=31, k=k)
+        assert len(loads) == 3  # the second n=31 miss loaded afresh...
+        assert service.handle(_request(n=30, k=3))["status"] == "ok"
+        assert len(loads) == 3  # ...and evicted nothing to make room
+        assert _gauges(service)["serve.cache.tables"] == 1.0
+
+    def test_failed_loads_memoize_nothing(self, loads, monkeypatch):
+        monkeypatch.setattr(
+            service_module, "TABLE_MEMO_RECORDS", _table_bound(31)
+        )
+        service = _service()
+        unknown = service.handle(_request(dataset="nope"))
+        assert http_status(unknown) == 400  # a DatasetError
+        for n in (30, 31):  # n=30's table is evicted, its fingerprint kept
+            assert service.handle(_request(n=n))["status"] == "ok"
+        plan = FaultPlan().inject("datasets.load")
+        with fault_scope(plan):
+            faulted = service.handle(_request(n=30, k=3))
+        assert faulted["status"] == "error" and plan.fired
+        gauges = _gauges(service)
+        assert gauges["serve.cache.tables"] == 1.0  # still n=31's alone
+        assert gauges["serve.cache.fingerprints"] == 2.0
+        retried = service.handle(_request(n=30, k=3))
+        assert canonical_body(retried) == _fresh_body(n=30, k=3)
+        assert len(loads) == 5  # the faulted load counts as an attempt
+        assert _gauges(service)["serve.cache.tables"] == 1.0  # now n=30's
+
+    def test_table_memo_stays_bounded_under_racing_threads(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(
+            service_module, "TABLE_MEMO_RECORDS", _table_bound(32, 33)
+        )
+        service = _service(
+            config=ServiceConfig(
+                retry=_FAST_RETRY, max_inflight=8, max_queue=64
+            )
+        )
+        envelopes = []
+
+        def client(i):
+            # Four triples, two keys each: every triple is missed by
+            # racing requests while the memo evicts the others.
+            n, k = 30 + i % 4, 2 + (i // 4) % 2
+            envelopes.append(((n, k), service.handle(_request(n=n, k=k))))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=client, args=(i,)) for i in range(16)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(envelopes) == 16
+        assert all(env["status"] == "ok" for _, env in envelopes)
+        for key in {key for key, _ in envelopes}:
+            bodies = {canonical_body(env) for m, env in envelopes if m == key}
+            assert bodies == {_fresh_body(n=key[0], k=key[1])}
+        assert _gauges(service)["serve.cache.tables"] == 2.0
 
 
 # --------------------------------------------------------------------- #

@@ -111,9 +111,22 @@ class _ViewEngine(_Engine):
         self.nodes_t = np.ascontiguousarray(self.enc.singleton_nodes.T)
 
 
-def _run_view_engine(model, cfg):
-    engine = _ViewEngine(model, get_distance(cfg.distance), cfg.k)
-    return differential._clustered(model, engine.run(cfg.modified))
+class _CountsEngine(_Engine):
+    """The engine keeping its cluster sizes *in* the encoding's row
+    multiplicities: with every row distinct both start as ones, so the
+    output is right, but every merge writes ``enc.unique_counts``."""
+
+    def _init_slots(self, model, distance, k):
+        super()._init_slots(model, distance, k)
+        self.sizes = self.enc.unique_counts
+
+
+def _runner(engine_class):
+    def run(model, cfg):
+        engine = engine_class(model, get_distance(cfg.distance), cfg.k)
+        return differential._clustered(model, engine.run(cfg.modified))
+
+    return run
 
 
 class TestInputMutation:
@@ -135,16 +148,28 @@ class TestInputMutation:
         table = Table(Schema([collection]), [(v,) for v in values])
         return Instance(table=table, config=config)
 
-    def test_view_engine_is_flagged(self, monkeypatch, one_attribute):
-        spec = differential.AlgorithmSpec("view-engine", "k", _run_view_engine)
+    @staticmethod
+    def _mutations(monkeypatch, instance, name, engine_class):
+        spec = differential.AlgorithmSpec(name, "k", _runner(engine_class))
         monkeypatch.setattr(differential, "REGISTRY", (spec,))
-        violations = differential.differential_check(one_attribute)
-        mutated = [
-            v for v in violations if v.invariant == "differential.input-mutated"
+        violations = differential.differential_check(instance)
+        return [
+            v.detail
+            for v in violations
+            if v.invariant == "differential.input-mutated"
         ]
-        assert [v.detail for v in mutated] == [
-            "view-engine mutated enc.singleton_nodes"
-        ]
+
+    def test_view_engine_is_flagged(self, monkeypatch, one_attribute):
+        assert self._mutations(
+            monkeypatch, one_attribute, "view-engine", _ViewEngine
+        ) == ["view-engine mutated enc.singleton_nodes"]
+
+    def test_counts_engine_is_flagged(self, monkeypatch, one_attribute):
+        # An encoding outlives a request in the service, so the snapshot
+        # covers every array it holds, not only the codes.
+        assert self._mutations(
+            monkeypatch, one_attribute, "counts-engine", _CountsEngine
+        ) == ["counts-engine mutated enc.unique_counts"]
 
     def test_registered_algorithms_leave_inputs_alone(self, one_attribute):
         violations = differential.differential_check(one_attribute)

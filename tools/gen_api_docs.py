@@ -11,10 +11,14 @@ single markdown reference.  Re-run after changing the public API:
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import inspect
 import typing
 from pathlib import Path
+
+#: Descriptors documented as properties (a cached one reads like one).
+_PROPERTIES = (property, functools.cached_property)
 
 PACKAGES = [
     ("repro", "Top-level API"),
@@ -68,11 +72,11 @@ def _render_entry(name: str, obj) -> list[str]:
             (m_name, member)
             for m_name, member in inspect.getmembers(obj)
             if not m_name.startswith("_")
-            and (inspect.isfunction(member) or isinstance(member, property))
+            and (inspect.isfunction(member) or isinstance(member, _PROPERTIES))
             and m_name in vars(obj)
         ]
         for m_name, member in methods:
-            if isinstance(member, property):
+            if isinstance(member, _PROPERTIES):
                 lines.append(
                     f"- `.{m_name}` *(property)* — "
                     f"{_first_paragraph(inspect.getdoc(member))}"

@@ -23,7 +23,7 @@ from repro.core.clustering import clustering_to_nodes
 from repro.core.distances import get_distance
 from repro.core.kk import kk_anonymize
 from repro.datasets import adult
-from repro.experiments.report import format_table
+from repro.report import format_table
 from repro.measures.base import CostModel
 from repro.measures.registry import get_measure
 from repro.tabular.attribute import integer_attribute

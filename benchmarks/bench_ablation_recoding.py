@@ -25,7 +25,7 @@ from repro.core.clustering import clustering_to_nodes
 from repro.core.datafly import datafly
 from repro.core.kmember import kmember_clustering
 from repro.core.mondrian import mondrian_clustering
-from repro.experiments.report import format_table
+from repro.report import format_table
 
 
 @pytest.fixture(scope="module")

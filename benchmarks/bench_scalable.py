@@ -22,7 +22,7 @@ from repro.core.agglomerative import agglomerative_clustering
 from repro.core.clustering import clustering_to_nodes
 from repro.core.distances import get_distance
 from repro.core.scalable import blocked_agglomerative
-from repro.experiments.report import format_table
+from repro.report import format_table
 
 K = 10
 BLOCK_SIZES = (64, 128, 256)

@@ -8,7 +8,8 @@ inspecting the *code* with the stdlib ``ast`` module.  No third-party
 dependency is required.
 
 * :mod:`repro.analysis.rules` — the token/pattern rule catalogue
-  (REP001–REP009), each one an AST visitor or a whole-tree check;
+  (REP001–REP009, REP014, REP015), each one an AST visitor or a
+  whole-tree check;
 * :mod:`repro.analysis.flow` — per-function control-flow graphs with
   def/use dataflow facts (loop coverage, module-state writes);
 * :mod:`repro.analysis.callgraph` — the project-wide call graph with

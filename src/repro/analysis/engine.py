@@ -46,8 +46,8 @@ _SUPPRESS_RE = re.compile(
 )
 
 #: The full rule set behind ``repro-anon lint``: the token/pattern
-#: rules (REP001–REP009) plus the CFG/call-graph semantic rules
-#: (REP010–REP013).
+#: rules (REP001–REP009, REP014, REP015) plus the CFG/call-graph
+#: semantic rules (REP010–REP013).
 ALL_RULES: tuple[Rule, ...] = (*BASE_RULES, *SEMANTIC_RULES)
 
 #: rule id -> one-line summary across both catalogues.

@@ -1,7 +1,7 @@
 """Per-function control-flow graphs with def/use dataflow facts.
 
-The token-level rules (REP001–REP009) ask *syntactic* questions — "is
-this call spelled ``time.time``?".  The semantic rules (REP010–REP013)
+The token-level rules (REP001–REP009, REP014, REP015) ask *syntactic*
+questions — "is this call spelled ``time.time``?".  The semantic rules (REP010–REP013)
 ask *path* questions — "can this loop iterate without passing a
 checkpoint?", "does this function write module state?" — and those need
 a control-flow graph, not a token stream.

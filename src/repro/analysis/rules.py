@@ -1,4 +1,4 @@
-"""The project-specific rule catalogue (REP001–REP009).
+"""The project-specific rule catalogue (REP001–REP009, REP014, REP015).
 
 Every rule inspects the stdlib ``ast`` of the scanned tree; none of
 them import or execute the code under analysis, so the linter is safe
@@ -374,56 +374,6 @@ class InputMutation(Rule):
 
 
 # --------------------------------------------------------------------- #
-# REP004 — wall-clock / environment reads
-# --------------------------------------------------------------------- #
-
-#: Dotted names whose *read* makes an algorithm depend on the outside
-#: world.  Monotonic timers (``time.monotonic``, ``time.perf_counter``)
-#: are fine — they only ever feed elapsed-time reporting.
-_WALL_CLOCK = {
-    "time.time", "time.time_ns", "time.localtime", "time.gmtime",
-    "time.ctime", "time.asctime", "time.strftime",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-    "datetime.datetime.today", "datetime.date.today",
-    "os.environ", "os.environb", "os.getenv", "os.getenvb",
-}
-
-
-class WallClockRead(Rule):
-    """REP004: wall-clock or environment reads in algorithm code.
-
-    An anonymizer whose output can depend on ``time.time()`` or
-    ``os.environ`` is unreproducible by construction.  Elapsed-time
-    *measurement* stays legal: the monotonic clocks are not flagged.
-    Scope: ``core/`` and ``verify/``.
-    """
-
-    rule_id = "REP004"
-    summary = "wall-clock/environment read in algorithm code"
-    segments = ("core", "verify")
-
-    def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if ctx.segment not in self.segments:
-            return
-        aliases = _module_aliases(ctx.tree, "time")
-        aliases.update(_module_aliases(ctx.tree, "os"))
-        aliases.update(_module_aliases(ctx.tree, "datetime"))
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Attribute):
-                continue
-            target = _resolve_dotted(aliases, node)
-            if target in _WALL_CLOCK:
-                yield Finding(
-                    ctx.rel,
-                    node.lineno,
-                    node.col_offset,
-                    self.rule_id,
-                    f"'{target}' read in algorithm code; outputs must not "
-                    "depend on wall-clock time or the process environment",
-                )
-
-
-# --------------------------------------------------------------------- #
 # REP005 — registry completeness
 # --------------------------------------------------------------------- #
 
@@ -787,167 +737,181 @@ class SwallowedException(Rule):
 
 
 # --------------------------------------------------------------------- #
-# REP008 — raw timer calls outside the timing layers
+# REP004 / REP008 / REP009 / REP014 — primitives confined to some layers
 # --------------------------------------------------------------------- #
 
-#: Clock *calls* that must go through :class:`repro.runtime.Timer`.
-#: Unlike REP004 (which bans wall-clock **reads** in algorithm code,
-#: everywhere-determinism), this is about benchmarkability: a raw
-#: ``time.perf_counter()`` sprinkled in a harness can't be faked in
-#: tests and can't be swapped for the bench suite's repeat-aware
-#: timing.  The monotonic clocks are *legal to inject* (passing
-#: ``time.monotonic`` as a ``clock=`` argument is the approved
-#: pattern) — only direct calls are flagged.
-_RAW_TIMERS = {
-    "time.time", "time.time_ns",
-    "time.perf_counter", "time.perf_counter_ns",
-    "time.monotonic", "time.monotonic_ns",
-    "time.process_time", "time.process_time_ns",
-}
 
+class ConfinedPrimitive(Rule):
+    """A primitive the project confines to some layers: one table row.
 
-class RawTimerCall(Rule):
-    """REP008: raw ``time`` clock calls outside ``perf``/``runtime``.
-
-    Timing belongs to the two layers built for it: ``repro.runtime``
-    owns the injectable :class:`~repro.runtime.Timer` and ``Deadline``
-    primitives, and ``repro.perf`` owns benchmark repetition and
-    reporting.  A direct ``time.perf_counter()`` anywhere else bakes a
-    real clock into code that tests then cannot make deterministic —
-    use ``Timer`` (optionally with an injected fake clock) instead.
-    Referencing a clock *without calling it* (``clock=time.monotonic``)
-    stays legal: injection is exactly the approved pattern.  Wall-clock
-    calls inside REP004's segments are *not* double-reported here —
-    REP004 already owns those.
+    ``match`` says what counts as a use of a target: ``"read"`` is any
+    attribute access that resolves to it (calls included), ``"call"`` a
+    call whose callee resolves to it, and ``"builtin"`` a call of the
+    bare builtin name.  Names resolve through the module aliases the
+    file imports, and ``prefixes`` match whole families
+    (``"socket."``).  A row polices either only its ``banned_in``
+    segments or every segment outside its ``allowed_in`` ones.  When
+    another row owns part of a use (``defers_to``), that use is
+    reported once, by the owner.
     """
 
-    rule_id = "REP008"
-    summary = "raw time.* clock call outside repro.perf/repro.runtime"
-    allowed_segments = ("perf", "runtime")
+    def __init__(
+        self,
+        rule_id: str,
+        summary: str,
+        *,
+        match: str,
+        targets: tuple[str, ...],
+        prefixes: tuple[str, ...] = (),
+        banned_in: tuple[str, ...] = (),
+        allowed_in: tuple[str, ...] = (),
+        message: str,
+        defers_to: ConfinedPrimitive | None = None,
+    ) -> None:
+        self.rule_id = rule_id
+        self.summary = summary
+        self.match = match
+        self.targets = targets
+        self.prefixes = prefixes
+        self.banned_in = banned_in
+        self.allowed_in = allowed_in
+        self.message = message
+        self.defers_to = defers_to
+        # The modules whose import aliases name the targets, in order.
+        self._modules = tuple(
+            dict.fromkeys(
+                name.split(".")[0]
+                for name in (*targets, *prefixes)
+                if "." in name
+            )
+        )
+
+    def polices(self, segment: str) -> bool:
+        """Whether uses in this top-level segment are findings."""
+        if self.banned_in:
+            return segment in self.banned_in
+        return segment not in self.allowed_in
+
+    def matches(self, target: str) -> bool:
+        """Whether a resolved name is one of this row's primitives."""
+        return target in self.targets or target.startswith(self.prefixes)
+
+    def _use(
+        self, node: ast.Attribute | ast.Call, aliases: dict[str, str]
+    ) -> str | None:
+        """The resolved name ``node`` uses, under this row's match kind."""
+        if self.match == "read":
+            if isinstance(node, ast.Attribute):
+                return _resolve_dotted(aliases, node)
+            return None
+        if not isinstance(node, ast.Call):
+            return None
+        if self.match == "builtin":
+            return node.func.id if isinstance(node.func, ast.Name) else None
+        return _resolve_dotted(aliases, node.func)
 
     def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if ctx.segment in self.allowed_segments:
+        if not self.polices(ctx.segment):
             return
-        defer_to_rep004 = ctx.segment in WallClockRead.segments
-        aliases = _module_aliases(ctx.tree, "time")
+        aliases: dict[str, str] = {}
+        for module in self._modules:
+            aliases.update(_module_aliases(ctx.tree, module))
+        owner = self.defers_to
+        if owner is not None and not owner.polices(ctx.segment):
+            owner = None
         for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
+            if not isinstance(node, (ast.Attribute, ast.Call)):
                 continue
-            target = _resolve_dotted(aliases, node.func)
-            if target in _RAW_TIMERS:
-                if defer_to_rep004 and target in _WALL_CLOCK:
-                    continue
-                yield Finding(
-                    ctx.rel,
-                    node.lineno,
-                    node.col_offset,
-                    self.rule_id,
-                    f"'{target}()' called outside repro.perf/repro.runtime; "
-                    "time through the injectable repro.runtime.Timer so "
-                    "tests can fake the clock",
-                )
-
-
-# --------------------------------------------------------------------- #
-# REP009 — bare print() outside the presentation layers
-# --------------------------------------------------------------------- #
-
-
-class BarePrint(Rule):
-    """REP009: bare ``print()`` outside ``cli``/``report``/``tools``.
-
-    Library code talks through return values, the journal, and
-    ``repro.obs`` — a stray ``print()`` in an algorithm or runtime
-    module is debug output that bypasses all three: it is invisible to
-    the journal, unfakeable in tests, and garbles machine-readable CLI
-    output when the module runs under ``repro-anon``.  The presentation
-    layers (``cli``, ``repro.report`` consumers rendering to stdout,
-    ``tools`` scripts, ``__main__``) are exactly where printing *is*
-    the job, so they stay exempt.
-    """
-
-    rule_id = "REP009"
-    summary = "bare print() outside cli/report/tools presentation layers"
-    allowed_segments = ("cli", "report", "tools", "__main__")
-
-    def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if ctx.segment in self.allowed_segments:
-            return
-        for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "print"
-            ):
-                yield Finding(
-                    ctx.rel,
-                    node.lineno,
-                    node.col_offset,
-                    self.rule_id,
-                    "bare 'print()' outside the presentation layers; "
-                    "debug output here is invisible to the journal — "
-                    "return data, record a metric via repro.obs, or "
-                    "move the printing into cli/report",
-                )
-
-
-# --------------------------------------------------------------------- #
-# REP014 — raw concurrency/socket primitives outside the serving layers
-# --------------------------------------------------------------------- #
-
-#: Blocking/concurrency *calls* that belong behind the serving layer's
-#: injectable primitives.  ``socket`` is matched by prefix — any direct
-#: socket construction counts.
-_RAW_CONCURRENCY = {
-    "time.sleep",
-    "threading.Thread",
-    "threading.Timer",
-}
-
-
-class RawConcurrencyPrimitive(Rule):
-    """REP014: raw socket/thread/sleep use outside ``serve``/``runtime``.
-
-    Concurrency is confined to the two layers built to own it:
-    ``repro.runtime`` wraps sleeping behind the injectable
-    :data:`~repro.runtime.retry.Sleeper` and ``repro.serve`` owns the
-    threads, locks and sockets of the long-lived server.  A
-    ``threading.Thread`` spawned from an algorithm or a ``time.sleep``
-    in a harness is untestable wall-clock behavior that the fault
-    plans, fake clocks and drills cannot reach — route sleeps through
-    an injected sleeper and push thread/socket work into
-    ``repro.serve``.  Referencing a primitive without calling it
-    (``sleeper=time.sleep`` as an injectable default) stays legal, as
-    do the synchronization *guards* (``threading.Lock``/``Condition``
-    etc.) that pure data structures legitimately need.
-    """
-
-    rule_id = "REP014"
-    summary = "raw socket/thread/sleep primitive outside repro.serve/repro.runtime"
-    allowed_segments = ("serve", "runtime")
-
-    def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if ctx.segment in self.allowed_segments:
-            return
-        aliases = _module_aliases(ctx.tree, "time")
-        aliases.update(_module_aliases(ctx.tree, "threading"))
-        aliases.update(_module_aliases(ctx.tree, "socket"))
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
+            target = self._use(node, aliases)
+            if target is None or not self.matches(target):
                 continue
-            target = _resolve_dotted(aliases, node.func)
-            if target is None:
+            if owner is not None and owner.matches(target):
                 continue
-            if target in _RAW_CONCURRENCY or target.startswith("socket."):
-                yield Finding(
-                    ctx.rel,
-                    node.lineno,
-                    node.col_offset,
-                    self.rule_id,
-                    f"'{target}()' called outside repro.serve/repro.runtime; "
-                    "sleeps go through an injected Sleeper and "
-                    "thread/socket work belongs to the serving layer",
-                )
+            yield Finding(
+                ctx.rel,
+                node.lineno,
+                node.col_offset,
+                self.rule_id,
+                self.message.format(target=target),
+            )
+
+
+#: REP004: an anonymizer whose output can depend on ``time.time()`` or
+#: ``os.environ`` is unreproducible by construction.  The monotonic
+#: clocks only ever feed elapsed-time reporting, so they stay legal.
+_WALL_CLOCK_READ = ConfinedPrimitive(
+    "REP004",
+    "wall-clock/environment read in algorithm code",
+    match="read",
+    targets=(
+        "time.time", "time.time_ns", "time.localtime", "time.gmtime",
+        "time.ctime", "time.asctime", "time.strftime",
+        "os.environ", "os.environb", "os.getenv", "os.getenvb",
+        "datetime.datetime.now", "datetime.datetime.utcnow",
+        "datetime.datetime.today", "datetime.date.today",
+    ),
+    banned_in=("core", "verify"),
+    message="'{target}' read in algorithm code; outputs must not "
+    "depend on wall-clock time or the process environment",
+)
+
+#: The confined primitives, one row per rule.
+CONFINED_PRIMITIVES: tuple[ConfinedPrimitive, ...] = (
+    _WALL_CLOCK_READ,
+    # REP008: timing belongs to repro.runtime (the injectable Timer and
+    # Deadline) and repro.perf (bench repetition).  A direct clock call
+    # elsewhere bakes a real clock into code that tests cannot fake;
+    # passing ``clock=time.monotonic`` (a reference, not a call) is the
+    # approved injection.  REP004 owns its wall-clock calls.
+    ConfinedPrimitive(
+        "REP008",
+        "raw time.* clock call outside repro.perf/repro.runtime",
+        match="call",
+        targets=(
+            "time.time", "time.time_ns",
+            "time.perf_counter", "time.perf_counter_ns",
+            "time.monotonic", "time.monotonic_ns",
+            "time.process_time", "time.process_time_ns",
+        ),
+        allowed_in=("perf", "runtime"),
+        message="'{target}()' called outside repro.perf/repro.runtime; "
+        "time through the injectable repro.runtime.Timer so "
+        "tests can fake the clock",
+        defers_to=_WALL_CLOCK_READ,
+    ),
+    # REP009: library code talks through return values, the journal and
+    # repro.obs; a stray print() bypasses all three and garbles
+    # machine-readable CLI output.  Printing is the presentation
+    # layers' job.  Only the builtin counts, not a method named print.
+    ConfinedPrimitive(
+        "REP009",
+        "bare print() outside cli/report/tools presentation layers",
+        match="builtin",
+        targets=("print",),
+        allowed_in=("cli", "report", "tools", "__main__"),
+        message="bare 'print()' outside the presentation layers; "
+        "debug output here is invisible to the journal — "
+        "return data, record a metric via repro.obs, or "
+        "move the printing into cli/report",
+    ),
+    # REP014: repro.runtime wraps sleeping behind the injectable Sleeper
+    # and repro.serve owns the server's threads and sockets; a thread or
+    # sleep anywhere else is wall-clock behaviour no fault plan, fake
+    # clock or drill can reach.  References (``sleeper=time.sleep``)
+    # and synchronization guards (``threading.Lock``) stay legal.
+    ConfinedPrimitive(
+        "REP014",
+        "raw socket/thread/sleep primitive outside "
+        "repro.serve/repro.runtime",
+        match="call",
+        targets=("time.sleep", "threading.Thread", "threading.Timer"),
+        prefixes=("socket.",),
+        allowed_in=("serve", "runtime"),
+        message="'{target}()' called outside repro.serve/repro.runtime; "
+        "sleeps go through an injected Sleeper and "
+        "thread/socket work belongs to the serving layer",
+    ),
+)
 
 
 # --------------------------------------------------------------------- #
@@ -1105,18 +1069,20 @@ class UnregisteredMetricName(Rule):
 
 
 #: Every module/project rule, in rule-id order.
-ALL_RULES: tuple[Rule, ...] = (
-    UnseededRandomness(),
-    UnsortedSetIteration(),
-    InputMutation(),
-    WallClockRead(),
-    RegistryCompleteness(),
-    PublicApiDrift(),
-    SwallowedException(),
-    RawTimerCall(),
-    BarePrint(),
-    RawConcurrencyPrimitive(),
-    UnregisteredMetricName(),
+ALL_RULES: tuple[Rule, ...] = tuple(
+    sorted(
+        (
+            UnseededRandomness(),
+            UnsortedSetIteration(),
+            InputMutation(),
+            RegistryCompleteness(),
+            PublicApiDrift(),
+            SwallowedException(),
+            UnregisteredMetricName(),
+            *CONFINED_PRIMITIVES,
+        ),
+        key=lambda rule: rule.rule_id,
+    )
 )
 
 #: rule id -> one-line summary, for ``--select`` validation and docs.

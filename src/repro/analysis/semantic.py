@@ -1,7 +1,7 @@
 """The semantic rule catalogue (REP010–REP013): CFG + call-graph rules.
 
-Where REP001–REP009 ask token questions ("is this call spelled
-``time.time``?"), these four ask *path* questions over the
+Where REP001–REP009, REP014 and REP015 ask token questions ("is this
+call spelled ``time.time``?"), these four ask *path* questions over the
 :mod:`repro.analysis.flow` control-flow graphs and the
 :mod:`repro.analysis.callgraph` reachability engine:
 

@@ -8,18 +8,17 @@ Subcommands
 * ``audit`` — re-audit a written release against both adversaries.
 * ``utility`` — COUNT-query utility comparison of k / forest / (k,k)
   releases on a built-in dataset.
-* ``experiment`` — run one of the paper's experiments
-  (``table1``, ``fig1``, ``fig2``, ``fig3``, ``ablations``,
-  ``global1k``, ``scaling``, ``epsilon``, or ``all`` for the complete
-  reproduction report) and print it.  ``--timeout SECONDS`` bounds the
-  wall clock (exit code 3 on expiry), ``--journal PATH`` appends every
-  finished grid cell to a crash-safe JSONL journal, ``--resume``
-  preloads an existing journal so finished cells are never recomputed
-  (see ``docs/robustness.md``), ``--workers N`` fans the grid cells
-  over worker processes with results identical to a serial run
-  (``docs/performance.md``), and ``--trace PATH`` / ``--metrics PATH``
-  record a span trace and a work-unit metrics snapshot without
-  changing any result (``docs/observability.md``).
+* ``experiment`` — run one of the paper's experiments by its name in
+  :data:`repro.experiments.catalogue.EXPERIMENTS` (which includes the
+  complete reproduction report) and print it.  ``--timeout SECONDS``
+  bounds the wall clock (exit code 3 on expiry), ``--journal PATH``
+  appends every finished grid cell to a crash-safe JSONL journal,
+  ``--resume`` preloads an existing journal so finished cells are
+  never recomputed (see ``docs/robustness.md``), ``--workers N`` fans
+  the grid cells over worker processes with results identical to a
+  serial run (``docs/performance.md``), and ``--trace PATH`` /
+  ``--metrics PATH`` record a span trace and a work-unit metrics
+  snapshot without changing any result (``docs/observability.md``).
 * ``bench`` — run the pinned benchmark suite (:mod:`repro.perf`), write
   a schema-versioned ``BENCH_<stamp>.json`` report and compare against
   the latest committed baseline (``--enforce`` turns regressions into a
@@ -160,17 +159,13 @@ def _build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--release", required=True, help="generalized release CSV")
     audit.add_argument("--k", type=int, required=True, help="claimed k")
 
+    from repro.experiments.catalogue import EXPERIMENTS
+
     exp = sub.add_parser("experiment", help="run a paper experiment")
-    exp.add_argument(
-        "name",
-        choices=[
-            "table1", "fig1", "fig2", "fig3", "ablations",
-            "global1k", "scaling", "epsilon", "all",
-        ],
-    )
+    exp.add_argument("name", choices=list(EXPERIMENTS))
     exp.add_argument("--seed", type=int, default=0)
     exp.add_argument(
-        "--out", help="for 'all': also write the report to this file"
+        "--out", help="also write the printed report to this file"
     )
     exp.add_argument(
         "--timeout",
@@ -790,6 +785,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     import json
     from contextlib import ExitStack
 
+    from repro.experiments.catalogue import get_experiment
     from repro.experiments.configs import ExperimentConfig
     from repro.experiments.runner import ExperimentRunner
     from repro.obs import MetricsRegistry, Tracer, metrics_scope, trace_scope
@@ -797,6 +793,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
     if args.resume and not args.journal:
         raise ReproError("--resume requires --journal PATH")
+    experiment = get_experiment(args.name)
     journal = None
     if args.journal:
         journal = Journal(args.journal)
@@ -820,16 +817,13 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             if registry is not None:
                 scopes.enter_context(metrics_scope(registry))
             with limit_scope(*limits):
-                if args.workers > 1:
-                    from repro.perf import plan_experiment, run_parallel
+                cells = experiment.cells(config)
+                if args.workers > 1 and cells:
+                    from repro.perf import run_parallel
 
-                    plan = plan_experiment(args.name, config)
-                    if plan:
-                        stats = run_parallel(
-                            runner, plan, workers=args.workers
-                        )
-                        print(f"parallel prefetch: {stats}")
-                code = _dispatch_experiment(args, runner)
+                    stats = run_parallel(runner, cells, workers=args.workers)
+                    print(f"parallel prefetch: {stats}")
+                rendering = experiment.render(runner)
     finally:
         # Write the snapshot even when a deadline aborts the run: the
         # partial counters say where the time went before the cutoff.
@@ -850,6 +844,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 snapshot=registry.snapshot(),
                 extra={"experiment": args.name, "seed": args.seed},
             )
+    print(rendering.text)
+    if args.out:
+        from pathlib import Path
+
+        Path(args.out).write_text(rendering.text)
+        print(f"report written to {args.out}")
     if args.trace:
         print(f"trace written to {args.trace}")
     if args.metrics:
@@ -861,103 +861,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             f"journal {args.journal}: {runner.computed_cells} cells computed, "
             f"{runner.resumed_cells} resumed"
         )
-    return code
-
-
-def _dispatch_experiment(args: argparse.Namespace, runner) -> int:
-    name = args.name
-    if name == "all":
-        from repro.experiments.full_report import generate_full_report
-
-        report = generate_full_report(runner)
-        print(report)
-        if args.out:
-            from pathlib import Path
-
-            Path(args.out).write_text(report)
-            print(f"report written to {args.out}")
-        return 0
-    if name == "table1":
-        from repro.experiments.table1 import compute_table1
-
-        result = compute_table1(runner)
-        print(result.format())
-        print()
-        print(result.improvement_summary())
-        violations = result.shape_violations()
-        if violations:
-            print("\nSHAPE VIOLATIONS:")
-            print("\n".join(violations))
-            return 1
-    elif name in ("fig2", "fig3"):
-        from repro.experiments.figures import compute_figure
-
-        fig = compute_figure(runner, name)
-        print(fig.chart())
-        print()
-        print(fig.numbers())
-    elif name == "fig1":
-        from repro.core.relations import (
-            check_figure1,
-            enumerate_census,
-            proposition_45_example,
-        )
-
-        table, _ = proposition_45_example()
-        census = enumerate_census(EncodedTable(table), k=2)
-        print(f"enumerated {census.total} generalizations of the "
-              "Proposition 4.5 table (k=2)")
-        for key, count in sorted(census.counts.items(), key=lambda kv: -kv[1]):
-            label = "+".join(sorted(key)) if key else "(none)"
-            print(f"  {label:30s} {count}")
-        problems = check_figure1(census)
-        print("Figure 1 inclusions:", "OK" if not problems else problems)
-    elif name == "ablations":
-        from repro.experiments.ablations import (
-            coupling_ablation,
-            distance_ablation,
-            join_target_ablation,
-            modified_ablation,
-        )
-
-        for dataset in runner.config.datasets:
-            for measure in runner.config.measures:
-                print(f"== {dataset} / {measure} ==")
-                print(distance_ablation(runner, dataset, measure).format())
-                print(coupling_ablation(runner, dataset, measure).format())
-                print(modified_ablation(runner, dataset, measure).format())
-                print(join_target_ablation(runner, dataset, measure).format())
-                print()
-    elif name == "global1k":
-        from repro.experiments.global1k import (
-            format_conversion,
-            global_conversion_experiment,
-        )
-
-        points = []
-        for dataset in runner.config.datasets:
-            points.extend(
-                global_conversion_experiment(runner, dataset, "entropy")
-            )
-        print(format_conversion(points))
-    elif name == "scaling":
-        from repro.experiments.scaling import scaling_sweep
-
-        print(scaling_sweep().format())
-    elif name == "epsilon":
-        from repro.extensions.epsilon_kk import epsilon_sweep
-
-        for dataset in runner.config.datasets:
-            model = runner.model(dataset, "entropy")
-            sweep = epsilon_sweep(model, k=10)
-            eps = sweep.smallest_sufficient_epsilon()
-            print(f"{dataset}: smallest sufficient ε = {eps}")
-            for p in sweep.points:
-                print(
-                    f"  ε={p.epsilon:<4} k'={p.k_prime:<3} Π={p.cost:.4f} "
-                    f"min matches={p.min_matches} deficient={p.deficient_records}"
-                )
-    return 0
+    return 0 if rendering.ok else 1
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

@@ -6,8 +6,17 @@
 * :mod:`repro.experiments.global1k` — the Algorithm 6 conversion study.
 * :mod:`repro.experiments.scaling` — runtime scaling checks.
 * :mod:`repro.experiments.paper_values` — the paper's numbers, verbatim.
+* :mod:`repro.experiments.catalogue` — every experiment by name: the
+  cells it reads and its rendering; the ``all`` report.
 """
 
+from repro.experiments.catalogue import (
+    REPORT_SECTIONS,
+    Experiment,
+    Rendering,
+    generate_full_report,
+    get_experiment,
+)
 from repro.experiments.configs import (
     AGGLOMERATIVE_VARIANTS,
     DEFAULT_SIZES,
@@ -26,6 +35,11 @@ from repro.experiments.table1 import (
 )
 
 __all__ = [
+    "REPORT_SECTIONS",
+    "Experiment",
+    "Rendering",
+    "generate_full_report",
+    "get_experiment",
     "ExperimentConfig",
     "ExperimentRunner",
     "RunOutcome",

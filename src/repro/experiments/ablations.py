@@ -20,9 +20,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.configs import variant_name
+from repro.experiments.configs import ExperimentConfig, variant_name
+from repro.experiments.runner import ExperimentRunner, RunKey
 from repro.report import format_table
-from repro.experiments.runner import ExperimentRunner
+
+#: A1 sweeps the paper's four distances plus Nergiz–Clifton; A3 the four.
+_A1_DISTANCES = ("d1", "d2", "d3", "d4", "nc")
+_A3_DISTANCES = ("d1", "d2", "d3", "d4")
+
+
+def _sweep_costs(
+    runner: ExperimentRunner, keys: list[RunKey], field: str
+) -> dict[str, dict[int, float]]:
+    """Costs of k sweeps by k, keyed by the run-key field they vary."""
+    costs: dict[str, dict[int, float]] = {}
+    for key in keys:
+        sweep = costs.setdefault(getattr(key, field), {})
+        sweep[key.k] = runner.run_key(key).cost
+    return costs
 
 
 @dataclass(frozen=True)
@@ -47,19 +62,28 @@ class DistanceAblation:
         return format_table(["distance"] + [f"k={k}" for k in self.ks], rows)
 
 
+def distance_cells(
+    config: ExperimentConfig, dataset: str, measure: str
+) -> list[RunKey]:
+    """A1's cells: the basic algorithm under every distance, per k."""
+    return [
+        RunKey("agg", dataset, measure, k, distance=name)
+        for name in _A1_DISTANCES
+        for k in config.ks
+    ]
+
+
 def distance_ablation(
     runner: ExperimentRunner, dataset: str, measure: str
 ) -> DistanceAblation:
     """Run A1 for one (dataset, measure)."""
-    ks = runner.config.ks
-    costs = {
-        name: {
-            k: runner.agglomerative(dataset, measure, k, name, False).cost
-            for k in ks
-        }
-        for name in ("d1", "d2", "d3", "d4", "nc")
-    }
-    return DistanceAblation(dataset=dataset, measure=measure, ks=ks, costs=costs)
+    cells = distance_cells(runner.config, dataset, measure)
+    return DistanceAblation(
+        dataset=dataset,
+        measure=measure,
+        ks=runner.config.ks,
+        costs=_sweep_costs(runner, cells, "distance"),
+    )
 
 
 @dataclass(frozen=True)
@@ -87,17 +111,32 @@ class CouplingAblation:
         return format_table(["coupling"] + [f"k={k}" for k in self.ks], rows)
 
 
+def coupling_cells(
+    config: ExperimentConfig, dataset: str, measure: str
+) -> list[RunKey]:
+    """A2's cells: the Alg 4+5 sweep, then the Alg 3+5 sweep."""
+    return [
+        RunKey(
+            "kk", dataset, measure, k,
+            expander=expander, join_with="generalized",
+        )
+        for expander in ("expansion", "nearest")
+        for k in config.ks
+    ]
+
+
 def coupling_ablation(
     runner: ExperimentRunner, dataset: str, measure: str
 ) -> CouplingAblation:
     """Run A2 for one (dataset, measure)."""
-    ks = runner.config.ks
+    cells = coupling_cells(runner.config, dataset, measure)
+    costs = _sweep_costs(runner, cells, "expander")
     return CouplingAblation(
         dataset=dataset,
         measure=measure,
-        ks=ks,
-        expansion={k: runner.kk(dataset, measure, k, "expansion").cost for k in ks},
-        nearest={k: runner.kk(dataset, measure, k, "nearest").cost for k in ks},
+        ks=runner.config.ks,
+        expansion=costs["expansion"],
+        nearest=costs["nearest"],
     )
 
 
@@ -125,26 +164,38 @@ class ModifiedAblation:
                 self.totals[variant_name(d, True)],
                 f"{self.relative_gain(d):+.1%}",
             ]
-            for d in ("d1", "d2", "d3", "d4")
+            for d in _A3_DISTANCES
         ]
         return format_table(
             ["distance", "basic (Σ over k)", "modified (Σ over k)", "gain"], rows, 3
         )
 
 
+def modified_cells(
+    config: ExperimentConfig, dataset: str, measure: str
+) -> list[RunKey]:
+    """A3's cells: basic then modified, per distance, over the k sweep."""
+    return [
+        RunKey(
+            "agg", dataset, measure, k, distance=distance, modified=modified
+        )
+        for distance in _A3_DISTANCES
+        for modified in (False, True)
+        for k in config.ks
+    ]
+
+
 def modified_ablation(
     runner: ExperimentRunner, dataset: str, measure: str
 ) -> ModifiedAblation:
     """Run A3 for one (dataset, measure)."""
-    ks = runner.config.ks
-    totals = {}
-    for distance in ("d1", "d2", "d3", "d4"):
-        for modified in (False, True):
-            totals[variant_name(distance, modified)] = sum(
-                runner.agglomerative(dataset, measure, k, distance, modified).cost
-                for k in ks
-            )
-    return ModifiedAblation(dataset=dataset, measure=measure, ks=ks, totals=totals)
+    totals: dict[str, float] = {}
+    for key in modified_cells(runner.config, dataset, measure):
+        name = variant_name(key.distance, key.modified)
+        totals[name] = totals.get(name, 0) + runner.run_key(key).cost
+    return ModifiedAblation(
+        dataset=dataset, measure=measure, ks=runner.config.ks, totals=totals
+    )
 
 
 @dataclass(frozen=True)
@@ -166,21 +217,47 @@ class JoinTargetAblation:
         return format_table(["Alg 5 variant"] + [f"k={k}" for k in self.ks], rows)
 
 
+def join_target_cells(
+    config: ExperimentConfig, dataset: str, measure: str
+) -> list[RunKey]:
+    """A4's cells: Alg 4+5 joining R̄_i, then joining R_i, over k."""
+    return [
+        RunKey(
+            "kk", dataset, measure, k,
+            expander="expansion", join_with=join_with,
+        )
+        for join_with in ("generalized", "original")
+        for k in config.ks
+    ]
+
+
 def join_target_ablation(
     runner: ExperimentRunner, dataset: str, measure: str
 ) -> JoinTargetAblation:
     """Run A4 for one (dataset, measure)."""
-    ks = runner.config.ks
+    cells = join_target_cells(runner.config, dataset, measure)
+    costs = _sweep_costs(runner, cells, "join_with")
     return JoinTargetAblation(
         dataset=dataset,
         measure=measure,
-        ks=ks,
-        generalized={
-            k: runner.kk(dataset, measure, k, "expansion", "generalized").cost
-            for k in ks
-        },
-        original={
-            k: runner.kk(dataset, measure, k, "expansion", "original").cost
-            for k in ks
-        },
+        ks=runner.config.ks,
+        generalized=costs["generalized"],
+        original=costs["original"],
+    )
+
+
+def ablation_cells(config: ExperimentConfig) -> list[RunKey]:
+    """A1–A4's distinct cells for every (dataset, measure), in reading
+    order (A3 rereads A1's basic runs, A4 rereads A2's expansion sweep)."""
+    return list(
+        dict.fromkeys(
+            key
+            for dataset in config.datasets
+            for measure in config.measures
+            for cells in (
+                distance_cells, coupling_cells, modified_cells,
+                join_target_cells,
+            )
+            for key in cells(config, dataset, measure)
+        )
     )

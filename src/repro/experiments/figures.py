@@ -11,10 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.asciiplot import line_chart
+from repro.experiments.configs import ExperimentConfig
 from repro.experiments.paper_values import PAPER_TABLE1
+from repro.experiments.runner import ExperimentRunner, RunKey
+from repro.experiments.table1 import Table1Block, block_cells, compute_block
 from repro.report import format_table
-from repro.experiments.runner import ExperimentRunner
-from repro.experiments.table1 import Table1Block, compute_block
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,25 @@ class FigureResult:
         return problems
 
 
+#: Figure name -> (caption, measure); both figures plot one Adult block.
+_FIGURES = {"fig2": ("Figure 2", "entropy"), "fig3": ("Figure 3", "lm")}
+
+
+def _figure(figure: str) -> tuple[str, str]:
+    if figure not in _FIGURES:
+        raise ValueError(
+            f"unknown figure {figure!r}; expected 'fig2' or 'fig3'"
+        )
+    return _FIGURES[figure]
+
+
+def figure_cells(
+    config: ExperimentConfig, figure: str, dataset: str = "adult"
+) -> list[RunKey]:
+    """The cells :func:`compute_figure` reads: one Table I block."""
+    return block_cells(config, dataset, _figure(figure)[1])
+
+
 def compute_figure(
     runner: ExperimentRunner | None = None,
     figure: str = "fig2",
@@ -86,11 +106,6 @@ def compute_figure(
 ) -> FigureResult:
     """Compute Figure 2 (``fig2``, entropy) or Figure 3 (``fig3``, LM)."""
     runner = runner or ExperimentRunner()
-    if figure == "fig2":
-        measure, label = "entropy", "Figure 2"
-    elif figure == "fig3":
-        measure, label = "lm", "Figure 3"
-    else:
-        raise ValueError(f"unknown figure {figure!r}; expected 'fig2' or 'fig3'")
+    label, measure = _figure(figure)
     block = compute_block(runner, dataset, measure)
     return FigureResult(figure=label, dataset=dataset, measure=measure, block=block)

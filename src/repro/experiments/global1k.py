@@ -15,11 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.global_1k import global_one_k_anonymize
-from repro.core.kk import kk_anonymize
+from repro.experiments.configs import ExperimentConfig
+from repro.experiments.runner import ExperimentRunner, RunKey
 from repro.report import format_table
-from repro.experiments.runner import ExperimentRunner
-from repro.matching.bipartite import ConsistencyGraph
 
 
 @dataclass(frozen=True)
@@ -43,6 +41,19 @@ class GlobalConversionPoint:
         return self.global_cost / self.kk_cost - 1.0 if self.kk_cost else 0.0
 
 
+def conversion_cells(
+    config: ExperimentConfig,
+    dataset: str,
+    measure: str,
+    ks: tuple[int, ...] | None = None,
+) -> list[RunKey]:
+    """The ``global`` cells :func:`global_conversion_experiment` reads."""
+    return [
+        RunKey("global", dataset, measure, k, expander="expansion")
+        for k in ks or config.ks
+    ]
+
+
 def global_conversion_experiment(
     runner: ExperimentRunner,
     dataset: str,
@@ -50,26 +61,22 @@ def global_conversion_experiment(
     ks: tuple[int, ...] | None = None,
 ) -> list[GlobalConversionPoint]:
     """Run G1 for one (dataset, measure) across the k sweep."""
-    ks = ks or runner.config.ks
-    model = runner.model(dataset, measure)
     points = []
-    for k in ks:
-        kk_nodes = kk_anonymize(model, k)
-        graph = ConsistencyGraph(model.enc, kk_nodes)
-        degrees = graph.left_degrees()
-        nodes, stats = global_one_k_anonymize(model, kk_nodes, k)
+    for key in conversion_cells(runner.config, dataset, measure, ks):
+        outcome = runner.run_key(key)
+        extra = outcome.extra_dict()
         points.append(
             GlobalConversionPoint(
                 dataset=dataset,
                 measure=measure,
-                k=k,
-                kk_cost=model.table_cost(kk_nodes),
-                global_cost=model.table_cost(nodes),
-                initial_deficient=stats.initial_deficient,
-                fixes=stats.fixes,
-                passes=stats.passes,
-                min_degree=int(degrees.min()),
-                max_degree=int(degrees.max()),
+                k=key.k,
+                kk_cost=extra["kk_cost"],
+                global_cost=outcome.cost,
+                initial_deficient=extra["initial_deficient"],
+                fixes=extra["fixes"],
+                passes=extra["passes"],
+                min_degree=extra["min_degree"],
+                max_degree=extra["max_degree"],
             )
         )
     return points

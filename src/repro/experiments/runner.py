@@ -31,6 +31,7 @@ from repro.core.kk import kk_anonymize
 from repro.datasets.registry import load
 from repro.errors import ExperimentError
 from repro.experiments.configs import ExperimentConfig
+from repro.matching.bipartite import ConsistencyGraph
 from repro.measures.base import CostModel
 from repro.measures.registry import get_measure
 from repro.obs import (
@@ -370,18 +371,25 @@ class ExperimentRunner:
     def global_1k(
         self, dataset: str, measure: str, k: int, expander: str = "expansion"
     ) -> RunOutcome:
-        """(k,k) followed by Algorithm 6, reporting conversion stats."""
+        """(k,k) followed by Algorithm 6, reporting conversion stats.
+
+        The extras also hold the smallest and largest left degree of the
+        (k,k) input's consistency graph (experiment G1's ``degrees``).
+        """
 
         def go():
             model = self.model(dataset, measure)
             kk_nodes = kk_anonymize(model, k, expander=expander)
             kk_cost = model.table_cost(kk_nodes)
+            degrees = ConsistencyGraph(model.enc, kk_nodes).left_degrees()
             nodes, stats = global_one_k_anonymize(model, kk_nodes, k)
             return model.table_cost(nodes), {
                 "kk_cost": kk_cost,
                 "passes": stats.passes,
                 "fixes": stats.fixes,
                 "initial_deficient": stats.initial_deficient,
+                "min_degree": int(degrees.min()),
+                "max_degree": int(degrees.max()),
             }
 
         return self._memo(RunKey("global", dataset, measure, k, expander=expander), go)

@@ -29,8 +29,8 @@ from repro.experiments.paper_values import (
     KK_IMPROVEMENT,
     PAPER_TABLE1,
 )
+from repro.experiments.runner import ExperimentRunner, RunKey
 from repro.report import format_table
-from repro.experiments.runner import ExperimentRunner
 
 
 @dataclass(frozen=True)
@@ -134,35 +134,76 @@ class Table1Result:
         return "\n".join(lines)
 
 
+def block_cells(
+    config: ExperimentConfig, dataset: str, measure: str
+) -> list[RunKey]:
+    """The cells of one block, in the order :func:`compute_block` reads them.
+
+    The eight agglomerative variants (each over the k sweep), the forest
+    sweep, then both (k,k) couplings at each k.
+    """
+    ks = config.ks
+    return (
+        [
+            RunKey(
+                "agg", dataset, measure, k,
+                distance=distance, modified=modified,
+            )
+            for distance, modified in AGGLOMERATIVE_VARIANTS
+            for k in ks
+        ]
+        + [RunKey("forest", dataset, measure, k) for k in ks]
+        + [
+            RunKey(
+                "kk", dataset, measure, k,
+                expander=expander, join_with="generalized",
+            )
+            for k in ks
+            for expander in ("expansion", "nearest")
+        ]
+    )
+
+
+def table1_cells(config: ExperimentConfig) -> list[RunKey]:
+    """The cells of the whole grid, block by block."""
+    return [
+        key
+        for dataset in config.datasets
+        for measure in config.measures
+        for key in block_cells(config, dataset, measure)
+    ]
+
+
 def compute_block(
     runner: ExperimentRunner, dataset: str, measure: str
 ) -> Table1Block:
-    """Compute one (dataset, measure) block."""
-    ks = runner.config.ks
+    """Compute one (dataset, measure) block from its declared cells."""
     all_variants: dict[str, dict[int, float]] = {}
-    for distance, modified in AGGLOMERATIVE_VARIANTS:
-        name = variant_name(distance, modified)
-        all_variants[name] = {
-            k: runner.agglomerative(dataset, measure, k, distance, modified).cost
-            for k in ks
-        }
+    forest: dict[int, float] = {}
+    couplings: dict[int, dict[str, float]] = {}
+    for key in block_cells(runner.config, dataset, measure):
+        cost = runner.run_key(key).cost
+        if key.kind == "agg":
+            name = variant_name(key.distance, key.modified)
+            all_variants.setdefault(name, {})[key.k] = cost
+        elif key.kind == "forest":
+            forest[key.k] = cost
+        else:
+            couplings.setdefault(key.k, {})[key.expander] = cost
     best_variant = min(
         all_variants, key=lambda name: sum(all_variants[name].values())
     )
-    forest = {k: runner.forest(dataset, measure, k).cost for k in ks}
     kk: dict[int, float] = {}
     kk_winner: dict[int, str] = {}
-    for k in ks:
-        expansion = runner.kk(dataset, measure, k, "expansion").cost
-        nearest = runner.kk(dataset, measure, k, "nearest").cost
-        if expansion <= nearest:
-            kk[k], kk_winner[k] = expansion, "expansion"
+    for k, costs in couplings.items():
+        if costs["expansion"] <= costs["nearest"]:
+            kk[k], kk_winner[k] = costs["expansion"], "expansion"
         else:
-            kk[k], kk_winner[k] = nearest, "nearest"
+            kk[k], kk_winner[k] = costs["nearest"], "nearest"
     return Table1Block(
         dataset=dataset,
         measure=measure,
-        ks=ks,
+        ks=runner.config.ks,
         best_k_anon=all_variants[best_variant],
         best_variant=best_variant,
         all_variants=all_variants,

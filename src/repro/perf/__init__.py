@@ -1,11 +1,10 @@
 """Performance subsystem: parallel experiment execution + benchmarks.
 
-Three concerns live here, one module each:
+Two concerns live here:
 
-* :mod:`repro.perf.plan` — enumerate the :class:`~repro.experiments.runner.RunKey`
-  cells an experiment will request, in the exact order the serial code
-  requests them.  A plan is pure data, so it can be fanned out.
-* :mod:`repro.perf.parallel` — run a plan's cells on a
+* :mod:`repro.perf.parallel` — run a list of
+  :class:`~repro.experiments.runner.RunKey` cells (an experiment
+  declares its own in :mod:`repro.experiments.catalogue`) on a
   ``ProcessPoolExecutor`` and merge the outcomes back into an
   :class:`~repro.experiments.runner.ExperimentRunner` in deterministic
   (submission) order, composing with the journal/checkpoint/resume
@@ -40,9 +39,9 @@ from repro.perf.compare import (
 from repro.perf.equivalence import (
     canonical_journal_entries,
     check_parallel_equivalence,
+    plan_cells,
 )
 from repro.perf.parallel import ParallelStats, run_parallel
-from repro.perf.plan import plan_cells, plan_experiment
 from repro.perf.serve_bench import percentile, serve_cases
 
 __all__ = [
@@ -63,7 +62,6 @@ __all__ = [
     "machine_fingerprint",
     "percentile",
     "plan_cells",
-    "plan_experiment",
     "run_bench",
     "run_parallel",
     "serve_cases",

@@ -25,10 +25,10 @@ from repro.experiments.paper_values import (
     paper_improvement,
     paper_value,
 )
-from repro.experiments.report import format_kv_block, format_table
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scaling import scaling_sweep
 from repro.experiments.table1 import compute_block, compute_table1
+from repro.report import format_kv_block, format_table
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,13 @@
 """Unit test for the one-shot reproduction report (tiny scale)."""
 
+import io
+import re
+from contextlib import redirect_stdout
+
 import pytest
 
 from repro.experiments.configs import ExperimentConfig
-from repro.experiments.full_report import generate_full_report
+from repro.experiments.catalogue import REPORT_SECTIONS, generate_full_report
 from repro.experiments.runner import ExperimentRunner
 
 
@@ -50,3 +54,42 @@ class TestFullReport:
         assert code == 0
         assert out.exists()
         assert "TABLE I" in out.read_text()
+
+
+def _cli(*argv: str) -> tuple[int, str]:
+    """Run ``repro-anon experiment`` at a tiny size; (exit code, stdout)."""
+    from repro.cli import main
+
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, redirect_stdout(out):
+        patch.setenv("REPRO_BENCH_N", "30")
+        code = main(["experiment", *argv])
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def report_sections():
+    """The CLI's ``all`` report split into {heading: body}."""
+    code, out = _cli("all")
+    assert code == 0
+    parts = re.split(r"\n=+\n  (.*)\n=+\n", out)
+    return dict(zip(parts[1::2], parts[2::2]))
+
+
+class TestSections:
+    def test_report_has_every_catalogue_section(self, report_sections):
+        titles = [title for _, title in REPORT_SECTIONS]
+        assert list(report_sections) == (
+            ["CONFIGURATION"] + titles + ["END OF REPORT"]
+        )
+
+    @pytest.mark.parametrize(
+        "name,title", REPORT_SECTIONS, ids=[n for n, _ in REPORT_SECTIONS]
+    )
+    def test_experiment_prints_its_report_section(
+        self, report_sections, name, title
+    ):
+        code, out = _cli(name)
+        assert out == report_sections[title]
+        failed = name == "table1" and "shape check: OK" not in out
+        assert code == (1 if failed else 0)

@@ -6,7 +6,7 @@ The acceptance drills for the performance subsystem live here:
   (same costs, same journal bytes modulo timings) — asserted both on
   the library surface (:func:`check_parallel_equivalence`) and through
   the CLI (``--workers 4`` output equals ``--workers 1`` output);
-* cell plans mirror the serial drivers' call order exactly;
+* every catalogue experiment journals exactly the cells it declares;
 * each hot-path optimization matches its kept reference implementation;
 * bench reports are schema-versioned, comparable, and the committed
   ``BENCH_*.json`` baseline clears every enforced speedup floor.
@@ -22,6 +22,7 @@ import pytest
 
 from repro.datasets import load
 from repro.errors import ExperimentError, ReproError
+from repro.experiments.catalogue import EXPERIMENTS, get_experiment
 from repro.experiments.configs import ExperimentConfig
 from repro.experiments.runner import ExperimentRunner, RunKey, RunOutcome
 from repro.measures.entropy import (
@@ -38,7 +39,6 @@ from repro.perf import (
     find_baseline,
     load_report,
     plan_cells,
-    plan_experiment,
     run_bench,
     run_parallel,
 )
@@ -341,7 +341,7 @@ class TestCommittedBaseline:
 
 
 # --------------------------------------------------------------------- #
-# cell plans
+# declared cells
 # --------------------------------------------------------------------- #
 
 
@@ -356,7 +356,7 @@ class TestPlans:
         journal = Journal(tmp_path / "fig2.jsonl")
         runner = ExperimentRunner(SMALL, journal=journal)
         compute_figure(runner, "fig2")
-        assert plan_experiment("fig2", SMALL) == _journaled_keys(journal)
+        assert get_experiment("fig2").cells(SMALL) == _journaled_keys(journal)
 
     def test_ablations_plan_matches_serial_journal_exactly(self, tmp_path):
         from repro.experiments.ablations import (
@@ -374,20 +374,32 @@ class TestPlans:
                 coupling_ablation(runner, dataset, measure)
                 modified_ablation(runner, dataset, measure)
                 join_target_ablation(runner, dataset, measure)
-        assert plan_experiment("ablations", SMALL) == _journaled_keys(journal)
+        assert get_experiment("ablations").cells(SMALL) == (
+            _journaled_keys(journal)
+        )
+
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_declared_cells_equal_the_serial_journal(self, name, tmp_path):
+        # Rendering through the catalogue journals exactly the declared
+        # cells, in declaration order.
+        journal = Journal(tmp_path / f"{name}.jsonl")
+        runner = ExperimentRunner(SMALL, journal=journal)
+        experiment = get_experiment(name)
+        experiment.render(runner)
+        assert experiment.cells(SMALL) == _journaled_keys(journal)
 
     def test_plans_are_duplicate_free(self):
         for name in ("table1", "fig2", "fig3", "ablations", "all"):
-            plan = plan_experiment(name, SMALL)
+            plan = get_experiment(name).cells(SMALL)
             assert len(plan) == len(set(plan)), name
 
     def test_non_memo_experiments_plan_empty(self):
-        for name in ("fig1", "global1k", "scaling", "epsilon"):
-            assert plan_experiment(name, SMALL) == []
+        for name in ("fig1", "scaling", "epsilon", "variance"):
+            assert get_experiment(name).cells(SMALL) == []
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ExperimentError, match="unknown experiment"):
-            plan_experiment("nope", SMALL)
+            get_experiment("nope")
 
     def test_plan_cells_covers_every_run_kind(self):
         kinds = {key.kind for key in plan_cells(SMALL)}
@@ -402,14 +414,14 @@ class TestPlans:
 class TestParallel:
     def test_single_worker_degenerates_to_serial(self):
         runner = ExperimentRunner(SMALL)
-        keys = plan_experiment("fig2", SMALL)[:4]
+        keys = get_experiment("fig2").cells(SMALL)[:4]
         stats = run_parallel(runner, keys, workers=1)
         assert (stats.workers, stats.merged) == (1, 4)
         assert runner.computed_cells == 4
 
     def test_memoized_cells_are_skipped_not_resubmitted(self):
         runner = ExperimentRunner(SMALL)
-        keys = plan_experiment("fig2", SMALL)[:4]
+        keys = get_experiment("fig2").cells(SMALL)[:4]
         for key in keys[:2]:
             runner.run_key(key)
         stats = run_parallel(runner, keys, workers=2)
@@ -427,7 +439,7 @@ class TestParallel:
         # (extra cell) must surface as a violation, not silently pass.
         journal = Journal(tmp_path / "j.jsonl")
         runner = ExperimentRunner(SMALL, journal=journal)
-        keys = plan_experiment("fig2", SMALL)[:2]
+        keys = get_experiment("fig2").cells(SMALL)[:2]
         for key in keys:
             runner.run_key(key)
         extra = RunKey("forest", "art", "entropy", 7)
@@ -437,7 +449,7 @@ class TestParallel:
         assert all('"seconds": 0.0' in line for line in lines)
 
     def test_parallel_runs_journal_identically(self, tmp_path):
-        keys = plan_experiment("fig2", SMALL)[:6]
+        keys = get_experiment("fig2").cells(SMALL)[:6]
 
         serial_journal = Journal(tmp_path / "serial.jsonl")
         serial = ExperimentRunner(SMALL, journal=serial_journal)
@@ -458,34 +470,53 @@ class TestParallel:
 # --------------------------------------------------------------------- #
 
 
+def _serial_and_parallel(tmp_path, capsys, name: str, workers: int):
+    """``experiment <name>`` at ``--workers 1`` and ``workers``: each run's
+    stdout (less the prefetch and journal lines) and canonical journal."""
+    from repro.cli import main
+
+    outputs = {}
+    journals = {}
+    for count in (1, workers):
+        journal = tmp_path / f"{name}-w{count}.jsonl"
+        code = main([
+            "experiment", name,
+            "--workers", str(count),
+            "--journal", str(journal),
+        ])
+        assert code == 0
+        lines = [
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if not line.startswith("parallel prefetch")
+            and not line.startswith("journal ")
+        ]
+        outputs[count] = lines
+        journals[count] = canonical_journal_entries(Journal(journal))
+    return outputs, journals
+
+
 class TestCli:
     def test_workers_flag_is_observationally_serial(
         self, tmp_path, capsys, monkeypatch
     ):
-        from repro.cli import main
-
         monkeypatch.setenv("REPRO_BENCH_N", "40")
-        outputs = {}
-        journals = {}
-        for workers in (1, 4):
-            journal = tmp_path / f"fig2-w{workers}.jsonl"
-            code = main([
-                "experiment", "fig2",
-                "--workers", str(workers),
-                "--journal", str(journal),
-            ])
-            assert code == 0
-            lines = [
-                line
-                for line in capsys.readouterr().out.splitlines()
-                if not line.startswith("parallel prefetch")
-                and not line.startswith("journal ")
-            ]
-            outputs[workers] = lines
-            journals[workers] = canonical_journal_entries(Journal(journal))
+        outputs, journals = _serial_and_parallel(tmp_path, capsys, "fig2", 4)
         assert outputs[1] == outputs[4]
         assert journals[1] == journals[4]
         assert len(journals[1]) > 0
+
+    def test_global1k_runs_through_the_memo_under_workers(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_BENCH_N", "40")
+        outputs, journals = _serial_and_parallel(
+            tmp_path, capsys, "global1k", 2
+        )
+        assert outputs[1] == outputs[2]
+        assert journals[1] == journals[2]
+        # G1's cells: three datasets x four ks, under entropy.
+        assert len(journals[1]) == 12
 
     def test_bench_quick_filter_writes_valid_report(self, tmp_path, capsys):
         from repro.cli import main

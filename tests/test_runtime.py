@@ -806,7 +806,8 @@ class TestParallelKillResume:
         import time
         from pathlib import Path
 
-        from repro.perf import plan_experiment, run_parallel
+        from repro.experiments import get_experiment
+        from repro.perf import run_parallel
 
         if os.name != "posix":
             pytest.skip("process-group SIGTERM is POSIX-only")
@@ -850,7 +851,7 @@ class TestParallelKillResume:
                 proc.wait(timeout=60)
 
         config = ExperimentConfig(sizes={"art": n, "adult": n, "cmc": n})
-        plan = plan_experiment("fig2", config)
+        plan = get_experiment("fig2").cells(config)
         journal = Journal(journal_path)
         survivors = len(journal.entries())
         assert survivors >= 1  # the kill landed after real progress

@@ -859,13 +859,13 @@ _WALL_CLOCK_READ = ConfinedPrimitive(
 CONFINED_PRIMITIVES: tuple[ConfinedPrimitive, ...] = (
     _WALL_CLOCK_READ,
     # REP008: timing belongs to repro.runtime (the injectable Timer and
-    # Deadline) and repro.perf (bench repetition).  A direct clock call
-    # elsewhere bakes a real clock into code that tests cannot fake;
-    # passing ``clock=time.monotonic`` (a reference, not a call) is the
-    # approved injection.  REP004 owns its wall-clock calls.
+    # Deadline).  A direct clock call elsewhere bakes a real clock into
+    # code that tests cannot fake; passing ``clock=time.monotonic`` (a
+    # reference, not a call) is the approved injection.  REP004 owns
+    # its wall-clock calls.
     ConfinedPrimitive(
         "REP008",
-        "raw time.* clock call outside repro.perf/repro.runtime",
+        "raw time.* clock call outside repro.runtime",
         match="call",
         targets=(
             "time.time", "time.time_ns",
@@ -873,8 +873,8 @@ CONFINED_PRIMITIVES: tuple[ConfinedPrimitive, ...] = (
             "time.monotonic", "time.monotonic_ns",
             "time.process_time", "time.process_time_ns",
         ),
-        allowed_in=("perf", "runtime"),
-        message="'{target}()' called outside repro.perf/repro.runtime; "
+        allowed_in=("runtime",),
+        message="'{target}()' called outside repro.runtime; "
         "time through the injectable repro.runtime.Timer so "
         "tests can fake the clock",
         defers_to=_WALL_CLOCK_READ,

@@ -18,11 +18,9 @@ Subcommands
   the grid cells over worker processes with results identical to a
   serial run (``docs/performance.md``), and ``--trace PATH`` /
   ``--metrics PATH`` record a span trace and a work-unit metrics
-  snapshot without changing any result (``docs/observability.md``).
-* ``bench`` — run the pinned benchmark suite (:mod:`repro.perf`), write
-  a schema-versioned ``BENCH_<stamp>.json`` report and compare against
-  the latest committed baseline (``--enforce`` turns regressions into a
-  non-zero exit; ``--metrics`` embeds a work-unit snapshot).
+  snapshot without changing any result, and ``--obs-journal PATH``
+  appends that snapshot as one stamped record to an ``OBS_*.jsonl``
+  journal (``docs/observability.md``).
 * ``trace`` — work with span traces written by ``experiment --trace``:
   ``convert`` to Chrome ``trace_event`` JSON (chrome://tracing,
   Perfetto), ``summarize`` to a per-phase time/work table.
@@ -232,72 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     summarize_cmd.add_argument(
         "--metrics", help="metrics snapshot JSON to include in the summary"
-    )
-
-    bench_cmd = sub.add_parser(
-        "bench",
-        help="run the pinned benchmark suite (repro.perf) and compare "
-        "against the latest BENCH_*.json baseline",
-    )
-    bench_cmd.add_argument(
-        "--quick",
-        action="store_true",
-        help="small n-grid and fewer repeats (the CI smoke mode)",
-    )
-    bench_cmd.add_argument(
-        "--repeat",
-        type=int,
-        default=None,
-        help="timing repetitions per case (default: 2 quick / 5 full)",
-    )
-    bench_cmd.add_argument(
-        "--filter",
-        dest="name_filter",
-        default="",
-        metavar="SUBSTRING",
-        help="only run cases whose name contains SUBSTRING",
-    )
-    bench_cmd.add_argument(
-        "--out",
-        help="write the schema-versioned JSON report to this path "
-        "(e.g. BENCH_$(date -u +%%Y-%%m-%%d).json)",
-    )
-    bench_cmd.add_argument(
-        "--baseline",
-        help="baseline BENCH_*.json to compare against "
-        "(default: the newest BENCH_*.json in the current directory)",
-    )
-    bench_cmd.add_argument(
-        "--no-compare",
-        action="store_true",
-        help="skip the baseline comparison entirely",
-    )
-    bench_cmd.add_argument(
-        "--enforce",
-        action="store_true",
-        help="exit non-zero on regressions (default: warn only; pair "
-        "speedup regressions always fail under --enforce)",
-    )
-    bench_cmd.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="relative slowdown tolerated before flagging (default 0.5)",
-    )
-    bench_cmd.add_argument(
-        "--list", action="store_true", help="list case names and exit"
-    )
-    bench_cmd.add_argument(
-        "--metrics",
-        action="store_true",
-        help="collect work-unit metrics during the suite and embed the "
-        "snapshot in the report (schema repro.perf.bench/2)",
-    )
-    bench_cmd.add_argument(
-        "--obs-journal",
-        metavar="PATH",
-        help="append the run (stamp, case medians, metrics snapshot) "
-        "as one record to an OBS_*.jsonl snapshot journal",
     )
 
     obs_cmd = sub.add_parser(
@@ -715,72 +647,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 0 if all(report.ok for report in reports) else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.perf import (
-        compare_reports,
-        default_cases,
-        find_baseline,
-        load_report,
-        run_bench,
-    )
-    from repro.perf.compare import DEFAULT_THRESHOLD, has_regressions
-
-    if args.list:
-        for case in default_cases(quick=args.quick):
-            tag = f" [{case.pair}/{case.role}]" if case.pair else ""
-            print(f"{case.name}  ({case.group}, n={case.n}){tag}")
-        return 0
-
-    def progress(entry: dict) -> None:
-        print(
-            f"  {entry['name']:32s} median {entry['median'] * 1000:9.2f} ms "
-            f"({len(entry['seconds'])} runs)"
-        )
-
-    report = run_bench(
-        quick=args.quick,
-        repeat=args.repeat,
-        name_filter=args.name_filter,
-        on_case=progress,
-        collect_metrics=bool(args.metrics or args.obs_journal),
-    )
-    for pair in report.pairs:
-        print(f"  speedup {pair['name']:28s} {pair['speedup']:.2f}x")
-    if args.metrics and report.metrics is not None:
-        counters = report.metrics.get("counters", {})
-        print(f"  metrics snapshot embedded ({len(counters)} counters)")
-    if args.out:
-        # A directory means "name the file for me": BENCH_<stamp>.json.
-        out = Path(args.out)
-        if out.is_dir():
-            out = out / f"BENCH_{report.stamp}.json"
-        report.write(out)
-        print(f"report written to {out}")
-    if args.obs_journal:
-        report.obs_record(args.obs_journal)
-        print(f"obs record appended to {args.obs_journal}")
-
-    if args.no_compare:
-        return 0
-    baseline_path = args.baseline or find_baseline(Path.cwd())
-    if baseline_path is None:
-        print("no BENCH_*.json baseline found; comparison skipped")
-        return 0
-    baseline = load_report(baseline_path)
-    threshold = (
-        args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
-    )
-    findings = compare_reports(report, baseline, threshold=threshold)
-    print(f"compared against {baseline_path} ({len(findings)} findings)")
-    for finding in findings:
-        print(f"  {finding}")
-    if args.enforce and has_regressions(findings):
-        return 1
-    return 0
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
     import json
     from contextlib import ExitStack
@@ -834,8 +700,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 + "\n",
             )
         if registry is not None and args.obs_journal:
-            from repro.obs import append_obs_record
-            from repro.perf.bench import default_stamp
+            from repro.obs import append_obs_record, default_stamp
 
             append_obs_record(
                 args.obs_journal,
@@ -1040,8 +905,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_fuzz(args)
         if args.command == "lint":
             return _cmd_lint(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
         if args.command == "trace":
             return _cmd_trace(args)
         if args.command == "serve":

@@ -463,8 +463,9 @@ class _Engine:
         return kept, expelled
 
     def _shrink_scan(self, member_list: list[int]) -> tuple[list[int], list[int]]:
-        """Per-subset closure-scan form of :meth:`_shrink` — correct for
-        any collection; reference for the ``agglomerative-shrink`` pair."""
+        """Per-subset closure-scan form of :meth:`_shrink`, correct for
+        any collection: the path for encodings without exact joins, and
+        the oracle of ``test_vectorized_shrink_equals_scan``."""
         enc, model, distance = self.enc, self.model, self.distance
         kept = list(member_list)
         expelled: list[int] = []

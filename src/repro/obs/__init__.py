@@ -17,7 +17,7 @@ Zero-dependency, deterministic-by-default observability:
   dumped atomically on SLO breach or on demand.
 - :func:`render_prometheus` — Prometheus text exposition of any
   snapshot; :func:`append_obs_record` / :func:`load_obs_journal` — the
-  ``OBS_*.jsonl`` snapshot journal.
+  ``OBS_*.jsonl`` snapshot journal, stamped by :func:`default_stamp`.
 - ``repro.obs.names`` — the checked-in metric/span name registry
   enforced by lint rule REP015.
 
@@ -81,6 +81,7 @@ from repro.obs.windows import (
     WINDOW_VERSION,
     WindowedRegistry,
     append_obs_record,
+    default_stamp,
     load_obs_journal,
 )
 
@@ -111,6 +112,7 @@ __all__ = [
     "chrome_trace",
     "count",
     "default_objectives",
+    "default_stamp",
     "gauge",
     "histogram_quantile",
     "install_registry",

@@ -84,7 +84,6 @@ SPAN_NAMES: FrozenSet[str] = frozenset(
     {
         "datasets.load",
         "experiments.cell",
-        "perf.bench.case",
         "perf.parallel.grid",
         "runtime.fallback.rung",
         "serve.admit",

@@ -14,8 +14,7 @@ snapshot.
 
 Accepts both snapshot schemas (the ``v`` field): v1 (cumulative only)
 and v2 (:meth:`~repro.obs.WindowedRegistry.window_snapshot`, which adds
-a ``window`` block of in-window sums, rates and quantiles) — the same
-both-versions posture as the bench report's v1→v2 loader shim.
+a ``window`` block of in-window sums, rates and quantiles).
 """
 
 from __future__ import annotations
@@ -37,9 +36,9 @@ def normalize_snapshot(snapshot: Mapping[str, Any]) -> Dict[str, Any]:
     """Coerce a v1 or v2 metrics snapshot into the v2 shape.
 
     v1 snapshots (no ``window`` key) gain an empty ``window`` block so
-    downstream renderers can branch on content, not on version — the
-    loader-shim pattern the bench schema established.  Unknown future
-    versions are passed through untouched beyond the same guarantee.
+    downstream renderers can branch on content, not on version.
+    Unknown future versions are passed through untouched beyond the
+    same guarantee.
     """
     version = int(snapshot.get("v", 1))
     normalized: Dict[str, Any] = {

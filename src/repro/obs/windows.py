@@ -30,6 +30,7 @@ import json
 import math
 import os
 import time
+from datetime import datetime, timezone
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.obs.metrics import (
@@ -44,6 +45,7 @@ __all__ = [
     "WINDOW_VERSION",
     "WindowedRegistry",
     "append_obs_record",
+    "default_stamp",
     "load_obs_journal",
 ]
 
@@ -238,6 +240,17 @@ class WindowedRegistry(MetricsRegistry):
 # --------------------------------------------------------------------- #
 
 
+def default_stamp(clock: Clock = time.time) -> str:
+    """A filesystem-safe UTC run stamp (``%Y-%m-%dT%H%M%SZ``).
+
+    The wall-clock read goes through an injectable epoch-seconds
+    ``clock``, so a fake clock yields an exact, assertable stamp.
+    """
+    return datetime.fromtimestamp(clock(), timezone.utc).strftime(
+        "%Y-%m-%dT%H%M%SZ"
+    )
+
+
 def append_obs_record(
     path: "str | os.PathLike[str]",
     *,
@@ -248,9 +261,9 @@ def append_obs_record(
 ) -> Dict[str, Any]:
     """Append one snapshot record to an ``OBS_*.jsonl`` journal.
 
-    ``kind`` names the producer (``"bench"``, ``"experiment"``,
-    ``"serve"``); ``stamp`` is the producer's run stamp so records join
-    against ``BENCH_*.json`` baselines.  Whole-line append with
+    ``kind`` names the producer (``"experiment"`` for ``repro-anon
+    experiment --obs-journal``); ``stamp`` is the producer's run stamp,
+    by convention :func:`default_stamp`.  Whole-line append with
     flush+fsync; returns the record written.
     """
     record: Dict[str, Any] = {

@@ -233,8 +233,8 @@ class Timer:
     The single sanctioned way to time experiment work: wall-clock
     (``time.time``) drifts under NTP adjustments and is banned from
     algorithm code by lint rule REP004; raw ``time.perf_counter`` calls
-    outside :mod:`repro.perf`/:mod:`repro.runtime` are banned by REP008
-    so that tests can substitute a fake clock.
+    outside :mod:`repro.runtime` are banned by REP008 so that tests can
+    substitute a fake clock.
 
     ::
 

@@ -149,9 +149,9 @@ def request_mix(seed: int, count: int) -> list[AnonymizeRequest]:
     """A deterministic, varied request stream shared by drills and tools.
 
     The same ``(seed, count)`` always yields the same sequence — the
-    chaos drill, the load generator and the serve bench all replay
-    identical traffic, so their results are comparable and recovered
-    responses can be checked request-by-request against a reference.
+    chaos drill and the load generator both replay identical traffic,
+    so their results are comparable and recovered responses can be
+    checked request-by-request against a reference.
     """
     from random import Random
 

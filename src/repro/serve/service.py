@@ -2,7 +2,7 @@
 
 One :meth:`AnonymizationService.handle` call is the whole request
 lifecycle, independent of any transport (the HTTP layer, the chaos
-drill and the serve bench all drive it directly):
+drill and perfbench's ``serve-mix`` workload all drive it directly):
 
 1. **accept** — parse/validate the payload (fault site ``serve.accept``
    behind seeded retry).

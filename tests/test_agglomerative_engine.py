@@ -495,6 +495,54 @@ class TestMergedClosure:
         assert checked.checked > 0
 
 
+def _shrink_routes(monkeypatch, table, k):
+    """Run Algorithm 2 on ``table``; return (shrinks, scans) call counts."""
+    calls = {"shrink": 0, "scan": 0}
+    shrink, scan = _Engine._shrink, _Engine._shrink_scan
+
+    def spy_shrink(self, member_list):
+        calls["shrink"] += 1
+        return shrink(self, member_list)
+
+    def spy_scan(self, member_list):
+        calls["scan"] += 1
+        return scan(self, member_list)
+
+    monkeypatch.setattr(_Engine, "_shrink", spy_shrink)
+    monkeypatch.setattr(_Engine, "_shrink_scan", spy_scan)
+    model = CostModel(EncodedTable(table), LMMeasure())
+    agglomerative_clustering(model, k, get_distance("d3"), modified=True)
+    return calls["shrink"], calls["scan"]
+
+
+class TestShrinkRouting:
+    """Algorithm 2 shrinks by join folds under exact joins and by the
+    per-subset scan otherwise."""
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            lambda: make_random_table(40, seed=3, domain_sizes=(6, 4, 3)),
+            make_interval_table,
+            lambda: load("art", n=60, seed=0),
+        ],
+        ids=["laminar", "intervals", "art"],
+    )
+    def test_exact_joins_never_scan(self, monkeypatch, table):
+        table = table()
+        assert EncodedTable(table).exact_joins
+        shrinks, scans = _shrink_routes(monkeypatch, table, 4)
+        assert shrinks > 0
+        assert scans == 0
+
+    def test_non_laminar_always_scans(self, monkeypatch):
+        table = _non_laminar_table()
+        assert not EncodedTable(table).exact_joins
+        shrinks, scans = _shrink_routes(monkeypatch, table, 3)
+        assert shrinks > 0
+        assert scans == shrinks
+
+
 # --------------------------------------------------------------------- #
 # paper-size pins
 # --------------------------------------------------------------------- #

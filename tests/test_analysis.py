@@ -494,8 +494,8 @@ def test_rule_ids_catalogue():
 
 
 def test_rep008_allows_timing_layers(tmp_path):
-    # Raw clock calls are the whole point of repro.runtime / repro.perf;
-    # REP008 must stay quiet there while flagging everyone else.
+    # Raw clock calls are the whole point of repro.runtime; REP008 must
+    # stay quiet there while flagging everyone else, repro.perf included.
     pkg = tmp_path / "p"
     for segment in ("runtime", "perf", "experiments"):
         (pkg / segment).mkdir(parents=True)
@@ -505,7 +505,9 @@ def test_rep008_allows_timing_layers(tmp_path):
             "    return time.perf_counter()\n"
         )
     report = lint_tree(pkg, select=["REP008"])
-    assert [f.path for f in report.findings] == ["experiments/m.py"]
+    assert sorted(f.path for f in report.findings) == [
+        "experiments/m.py", "perf/m.py",
+    ]
 
 
 def test_rep014_allows_serving_layers(tmp_path):

@@ -21,6 +21,7 @@ from repro.obs import (
     WindowedRegistry,
     append_obs_record,
     default_objectives,
+    default_stamp,
     histogram_quantile,
     load_obs_journal,
     render_prometheus,
@@ -410,6 +411,10 @@ class TestObsJournal:
                 tmp_path / "OBS_x.jsonl", kind="bench", stamp="s",
                 snapshot={}, extra={"kind": "shadow"},
             )
+
+    def test_default_stamp_is_a_pure_function_of_the_clock(self):
+        assert default_stamp(lambda: 0.0) == "1970-01-01T000000Z"
+        assert default_stamp(lambda: 86400.0 + 3661.0) == "1970-01-02T010101Z"
 
 
 # --------------------------------------------------------------------- #

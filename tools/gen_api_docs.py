@@ -36,7 +36,7 @@ PACKAGES = [
     ("repro.experiments", "Experiment harness"),
     ("repro.serve", "Anonymization service"),
     ("repro.verify", "Verification & fuzzing harness"),
-    ("repro.perf", "Parallel execution & benchmarks"),
+    ("repro.perf", "Parallel execution"),
 ]
 
 

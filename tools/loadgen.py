@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import random
 import sys
 import threading
@@ -36,7 +37,6 @@ from typing import Any
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.perf.serve_bench import percentile  # noqa: E402
 from repro.serve.drill import canonical_body  # noqa: E402
 from repro.serve.protocol import AnonymizeRequest, request_mix  # noqa: E402
 
@@ -46,6 +46,22 @@ DEFAULT_RATE = 100.0  #: mean arrivals per second for the Poisson schedule
 def body_sha256(envelope: dict[str, Any]) -> str:
     """SHA-256 over the canonical (deterministic) body of an envelope."""
     return hashlib.sha256(canonical_body(envelope).encode("utf-8")).hexdigest()
+
+
+def percentile(values: list[float], q: float) -> float:
+    """The q-th percentile (0..100) by linear interpolation."""
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = (len(ordered) - 1) * q / 100.0
+    low = math.floor(rank)
+    high = math.ceil(rank)
+    if low == high:
+        return ordered[low]
+    frac = rank - low
+    return ordered[low] * (1.0 - frac) + ordered[high] * frac
 
 
 def arrival_schedule(seed: int, count: int, rate: float) -> list[float]:

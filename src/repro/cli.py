@@ -21,12 +21,11 @@ Subcommands
   snapshot without changing any result, and ``--obs-journal PATH``
   appends that snapshot as one stamped record to an ``OBS_*.jsonl``
   journal (``docs/observability.md``).
-* ``trace`` — work with span traces written by ``experiment --trace``:
-  ``convert`` to Chrome ``trace_event`` JSON (chrome://tracing,
-  Perfetto), ``summarize`` to a per-phase time/work table.
 * ``obs`` — work with observability artifacts (``docs/observability.md``):
   ``summarize`` renders any combination of a span trace, a metrics
   snapshot (v1 cumulative or v2 windowed) and a flight-recorder dump;
+  ``convert`` turns a span trace written by ``experiment --trace`` into
+  Chrome ``trace_event`` JSON (chrome://tracing, Perfetto);
   ``export`` converts a snapshot JSON to the Prometheus text
   exposition; ``tail`` prints the last records of an ``OBS_*.jsonl``
   snapshot journal (or any tolerant JSONL artifact).
@@ -194,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trace",
         metavar="PATH",
         help="record a span trace (JSONL) of the run; convert with "
-        "'repro-anon trace convert' for chrome://tracing / Perfetto",
+        "'repro-anon obs convert' for chrome://tracing / Perfetto",
     )
     exp.add_argument(
         "--metrics",
@@ -209,32 +208,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "OBS_*.jsonl snapshot journal (implies metrics collection)",
     )
 
-    trace_cmd = sub.add_parser(
-        "trace",
-        help="convert or summarize span traces written by "
-        "'experiment --trace'",
-    )
-    trace_sub = trace_cmd.add_subparsers(dest="trace_command", required=True)
-    convert_cmd = trace_sub.add_parser(
-        "convert", help="convert a JSONL trace to Chrome trace_event JSON"
-    )
-    convert_cmd.add_argument("trace", help="span trace JSONL file")
-    convert_cmd.add_argument(
-        "--out", required=True, help="output Chrome trace_event JSON path"
-    )
-    summarize_cmd = trace_sub.add_parser(
-        "summarize", help="print a per-phase time/work table"
-    )
-    summarize_cmd.add_argument(
-        "trace", nargs="?", help="span trace JSONL file"
-    )
-    summarize_cmd.add_argument(
-        "--metrics", help="metrics snapshot JSON to include in the summary"
-    )
-
     obs_cmd = sub.add_parser(
         "obs",
-        help="summarize, export or tail observability artifacts "
+        help="summarize, convert, export or tail observability artifacts "
         "(traces, metrics snapshots, flight dumps, OBS journals)",
     )
     obs_sub = obs_cmd.add_subparsers(dest="obs_command", required=True)
@@ -255,6 +231,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--flight",
         metavar="PATH",
         help="flight-recorder dump JSON (from /debugz or a breach dump)",
+    )
+    obs_convert = obs_sub.add_parser(
+        "convert", help="convert a JSONL span trace to Chrome trace_event JSON"
+    )
+    obs_convert.add_argument("trace", help="span trace JSONL file")
+    obs_convert.add_argument(
+        "--out", required=True, help="output Chrome trace_event JSON path"
     )
     obs_export = obs_sub.add_parser(
         "export",
@@ -423,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trace",
         metavar="PATH",
         help="record per-request span traces (JSONL); convert with "
-        "'repro-anon trace convert'",
+        "'repro-anon obs convert'",
     )
     serve_cmd.add_argument(
         "--live-telemetry",
@@ -784,35 +767,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.obs import load_trace, write_chrome_trace
-
-    if args.trace_command == "convert":
-        events = load_trace(args.trace)
-        write_chrome_trace(events, args.out)
-        print(f"{len(events)} spans converted to {args.out}")
-        return 0
-    # summarize
-    from repro.obs.summarize import summarize
-
-    events = load_trace(args.trace) if args.trace else []
-    snapshot = None
-    if args.metrics:
-        try:
-            snapshot = json.loads(Path(args.metrics).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ReproError(
-                f"cannot read metrics snapshot {args.metrics}: {exc}"
-            ) from exc
-    if not events and snapshot is None:
-        raise ReproError("give a trace file and/or --metrics SNAPSHOT")
-    print(summarize(events, snapshot))
-    return 0
-
-
 def _read_json(path: str, what: str) -> dict:
     import json
     from pathlib import Path
@@ -830,9 +784,19 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from repro.obs import load_obs_journal, load_trace, render_prometheus
+    from repro.obs import (
+        load_obs_journal,
+        load_trace,
+        render_prometheus,
+        write_chrome_trace,
+    )
     from repro.obs.summarize import summarize
 
+    if args.obs_command == "convert":
+        events = load_trace(args.trace)
+        write_chrome_trace(events, args.out)
+        print(f"{len(events)} spans converted to {args.out}")
+        return 0
     if args.obs_command == "summarize":
         events = load_trace(args.trace) if args.trace else []
         snapshot = (
@@ -905,8 +869,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_fuzz(args)
         if args.command == "lint":
             return _cmd_lint(args)
-        if args.command == "trace":
-            return _cmd_trace(args)
         if args.command == "serve":
             return _cmd_serve(args)
         if args.command == "obs":

@@ -95,7 +95,8 @@ blocks of rows of about ``_BLOCK_CELLS`` cells (one kernel call and one
 checkpoint per block), and mirrors each block into its columns.  Under
 exact joins a merged cluster's closure is the join of its two parts'
 closures, one table lookup per attribute instead of a closure of every
-member.
+member, and Algorithm 2 carries it through its own leave-one-out folds,
+so the engine scans no closure at all.
 """
 
 from __future__ import annotations
@@ -424,21 +425,25 @@ class _Engine:
     # Algorithm 2: shrink a ripe cluster back to size k
     # ------------------------------------------------------------------ #
 
-    def _shrink(self, member_list: list[int]) -> tuple[list[int], list[int]]:
-        """Return (kept members of size k, expelled members).
+    def _shrink(
+        self, member_list: list[int], closure: np.ndarray
+    ) -> tuple[list[int], list[int]]:
+        """Return (kept members of size k, expelled members), given the
+        ``closure`` of ``member_list``.
 
         When every attribute's joins are exact
         (:attr:`~repro.tabular.encoding.EncodedTable.exact_joins`), all
         leave-one-out closures of one round come from prefix/suffix join
         folds — O(size) table lookups instead of the O(size²) closure
         scans of :meth:`_shrink_scan` — and the candidate distances are
-        evaluated in one vectorized call.  ``np.argmax`` keeps the
-        scan's first-max-wins tie-breaking, and the per-candidate float
-        operations are element-wise identical, so both paths expel the
-        same records.
+        evaluated in one vectorized call.  The next round's closure is
+        the fold row of the member just expelled, so no round scans.
+        ``np.argmax`` keeps the scan's first-max-wins tie-breaking, and
+        the per-candidate float operations are element-wise identical,
+        so both paths expel the same records.
         """
         if not self.enc.exact_joins:
-            return self._shrink_scan(member_list)
+            return self._shrink_scan(member_list, closure)
         enc, model = self.enc, self.model
         kept = list(member_list)
         expelled: list[int] = []
@@ -446,7 +451,6 @@ class _Engine:
         while len(kept) > self.k:
             size = len(kept)
             self.stat_shrink_candidates += size
-            closure = enc.closure_of_records(kept)
             cost_full = float(model.record_cost(closure))
             rest_nodes = enc.leave_one_out_closures(kept)
             cost_rest = np.asarray(
@@ -459,10 +463,14 @@ class _Engine:
                 ),
                 dtype=np.float64,
             )
-            expelled.append(kept.pop(int(np.argmax(d))))
+            out = int(np.argmax(d))
+            expelled.append(kept.pop(out))
+            closure = rest_nodes[out]
         return kept, expelled
 
-    def _shrink_scan(self, member_list: list[int]) -> tuple[list[int], list[int]]:
+    def _shrink_scan(
+        self, member_list: list[int], closure: np.ndarray
+    ) -> tuple[list[int], list[int]]:
         """Per-subset closure-scan form of :meth:`_shrink`, correct for
         any collection: the path for encodings without exact joins, and
         the oracle of ``test_vectorized_shrink_equals_scan``."""
@@ -473,21 +481,24 @@ class _Engine:
         while len(kept) > self.k:
             size = len(kept)
             self.stat_shrink_candidates += size
-            closure = enc.closure_of_records(kept)
             cost_full = float(model.record_cost(closure))
+            rests = [
+                enc.closure_of_records(kept[:i] + kept[i + 1 :])
+                for i in range(size)
+            ]
             best_i, best_d = 0, -np.inf
-            for i in range(size):
-                rest = kept[:i] + kept[i + 1 :]
-                cost_rest = model.cluster_cost(rest)
+            for i, rest in enumerate(rests):
+                cost_rest = float(model.record_cost(rest))
                 # dist(Ŝ, Ŝ \ {R̂_i}): the union of the two sets is Ŝ itself.
                 d_i = float(
-                    self.distance.evaluate(
+                    distance.evaluate(
                         size, cost_full, size - 1, cost_rest, cost_full
                     )
                 )
                 if d_i > best_d:
                     best_i, best_d = i, d_i
             expelled.append(kept.pop(best_i))
+            closure = rests[best_i]
         return kept, expelled
 
     # ------------------------------------------------------------------ #
@@ -526,8 +537,8 @@ class _Engine:
         merged = self.members[x] + self.members[y]  # type: ignore[operator]
         self.members[y] = None
         self._deactivate(y)
+        nodes = self.nodes_t
         if len(merged) < self.k:
-            nodes = self.nodes_t
             self.members[x] = merged
             nodes[:, x] = self._merged_closure(nodes[:, x], nodes[:, y], merged)
             self.sizes[x] = len(merged)
@@ -536,7 +547,8 @@ class _Engine:
             return
         expelled: list[int] = []
         if modified and len(merged) > self.k:
-            merged, expelled = self._shrink(merged)
+            closure = self._merged_closure(nodes[:, x], nodes[:, y], merged)
+            merged, expelled = self._shrink(merged, closure)
         self.stat_expelled += len(expelled)
         self.output.append(merged)
         self.members[x] = None

@@ -29,7 +29,6 @@ from repro.errors import AnonymityError
 from repro.measures.base import CostModel
 from repro.runtime import checkpoint
 from repro.tabular.encoding import EncodedTable
-from repro.tabular.table import Table
 
 
 def _partition_blocks(
@@ -119,7 +118,7 @@ def blocked_agglomerative(
     clusters: list[list[int]] = []
     for members in blocks:
         checkpoint("core.scalable.block")
-        sub_model = _borrow_costs(model, _encode_subset(enc, members))
+        sub_model = model.block(members)
         sub_clustering = agglomerative_clustering(
             sub_model, k, distance, modified=modified
         )
@@ -127,50 +126,3 @@ def blocked_agglomerative(
             clusters.append([int(members[i]) for i in cluster])
     return Clustering(n, clusters)
 
-
-def _encode_subset(parent: EncodedTable, members: np.ndarray) -> EncodedTable:
-    """An encoded view of a subset of records, sharing the parent's
-    per-attribute lookup tables (join/ancestor tables are schema-level,
-    so rebuilding them per block would dominate the runtime)."""
-    sub = EncodedTable.__new__(EncodedTable)
-    index_list = [int(i) for i in members]
-    sub.table = parent.table.subset(index_list)
-    sub.schema = parent.schema
-    sub.attrs = parent.attrs
-    sub.codes = parent.codes[members]
-    sub.singleton_nodes = parent.singleton_nodes[members]
-    uniq, inverse, counts = np.unique(
-        sub.codes, axis=0, return_inverse=True, return_counts=True
-    )
-    sub.unique_codes = uniq.astype(np.int32)
-    sub.unique_inverse = inverse.astype(np.int64)
-    sub.unique_counts = counts.astype(np.int64)
-    sub.unique_singleton_nodes = np.empty_like(sub.unique_codes)
-    # repro: allow[REP011] iterates schema attributes while building one block's sub-table
-    for j, att in enumerate(sub.attrs):
-        sub.unique_singleton_nodes[:, j] = att.singleton[sub.unique_codes[:, j]]
-    # Keep the FULL table's distribution: eq. (3) conditions on the whole
-    # database, and the borrowed cost model was built from it anyway.
-    sub.value_counts = parent.value_counts
-    # Closure memos are keyed by value sets, which are schema-level, so
-    # the sub-table can share (and extend) the parent's cache; the flat
-    # join tables are schema-level too and shared outright.
-    sub._closure_cache = parent._closure_cache
-    sub._join_flat = parent._join_flat
-    sub._join_offsets = parent._join_offsets
-    sub._join_cols = parent._join_cols
-    return sub
-
-
-def _borrow_costs(parent: CostModel, sub_enc: EncodedTable) -> CostModel:
-    """A cost model over a sub-table that keeps the parent's node costs.
-
-    The schema (and hence the node indexing) is shared, so the parent's
-    per-node cost vectors — computed from the *full* table's value
-    distribution, as eq. (3) prescribes — apply verbatim.
-    """
-    borrowed = CostModel.__new__(CostModel)
-    borrowed.enc = sub_enc
-    borrowed.measure = parent.measure
-    borrowed.node_costs = parent.node_costs
-    return borrowed

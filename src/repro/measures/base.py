@@ -20,6 +20,7 @@ and CM [11]).
 
 from __future__ import annotations
 
+import copy
 from abc import ABC, abstractmethod
 from typing import Iterator, Sequence
 
@@ -169,6 +170,20 @@ class CostModel:
                 )
             costs.append(vec * scale[j])
         self.node_costs: tuple[np.ndarray, ...] = tuple(costs)
+
+    def block(self, members: np.ndarray) -> CostModel:
+        """This model over the records ``members`` as a table of their own
+        (:meth:`EncodedTable.block
+        <repro.tabular.encoding.EncodedTable.block>`).
+
+        The measure, the weights and the node costs stay this model's:
+        the schema, and so the node indexing, is shared, and the costs
+        were computed from the whole table's distribution, as eq. (3)
+        prescribes.  Nothing is recomputed per block.
+        """
+        sub = copy.copy(self)
+        sub.enc = self.enc.block(members)
+        return sub
 
     # ------------------------------------------------------------------ #
     # cost queries

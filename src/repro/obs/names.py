@@ -73,9 +73,6 @@ METRIC_NAMES: FrozenSet[str] = frozenset(
         "serve.gate.depth",
         # serve — histograms
         "serve.request_seconds",
-        # tabular
-        "tabular.closure.memo_hits",
-        "tabular.closure.memo_misses",
     }
 )
 

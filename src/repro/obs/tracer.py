@@ -23,7 +23,7 @@ come from an injectable :data:`Clock` (the same callable shape
 ``repro.runtime.deadline`` uses), stored relative to the tracer's
 origin so fake clocks yield byte-deterministic traces.
 
-``repro-anon trace convert`` turns the JSONL into Chrome
+``repro-anon obs convert`` turns the JSONL into Chrome
 ``trace_event`` JSON loadable by ``chrome://tracing`` or Perfetto.
 """
 

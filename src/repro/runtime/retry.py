@@ -102,7 +102,9 @@ def call_with_retry(
     The last caught exception, once attempts are exhausted.
     """
     active = policy if policy is not None else RetryPolicy()
-    schedule = active.delays()
+    # Built at the first retry: a first-try success, the common case,
+    # never pays for the jitter RNG.
+    schedule: tuple[float, ...] = ()
     for attempt in range(active.attempts):
         try:
             count("runtime.retry.attempts")
@@ -111,6 +113,8 @@ def call_with_retry(
             if attempt >= active.attempts - 1:
                 raise
             count("runtime.retry.retries")
+            if not schedule:
+                schedule = active.delays()
             delay = schedule[attempt]
             if on_retry is not None:
                 on_retry(attempt, exc, delay)

@@ -26,10 +26,11 @@ drill and perfbench's ``serve-mix`` workload all drive it directly):
    guarantee block.  A miss on a registry triple takes the table and
    its :class:`~repro.tabular.encoding.EncodedTable` from a second LRU,
    bounded by :data:`TABLE_MEMO_RECORDS`, so each triple is loaded and
-   encoded once per service while it stays memoized; the algorithms
-   only read an encoding, so sharing one serves exactly what a fresh
-   load would.  Injected loaders bypass this memo too: their tables
-   are loaded and encoded on every miss.
+   encoded once per service while it stays memoized; an encoding is
+   read-only, so sharing one serves exactly what a fresh load would.
+   Every registry load lands in that memo, a hit's too, but only a
+   miss builds the encoding.  Injected loaders bypass this memo too:
+   their tables are loaded and encoded on every miss.
 5. **store** — persist the deterministic body through the crash-safe
    cache journal *after* the deadline scope is exited, so a result in
    hand is never discarded because storing it ran past the SLO.
@@ -119,6 +120,14 @@ _V = TypeVar("_V")
 
 #: A registry triple, the key of both memos.
 _Triple = tuple[str, int | None, int]
+
+
+@dataclass(eq=False)
+class _Loaded:
+    """A memoized registry table, and its encoding once a miss built it."""
+
+    table: Table
+    encoded: EncodedTable | None = None
 
 
 def default_loader(request: AnonymizeRequest) -> Table:
@@ -287,14 +296,12 @@ class AnonymizationService:
             clock=clock,
         )
         self._ids = itertools.count(1)
-        # Registry triple -> (fingerprint, num_records), and -> (table,
-        # encoding); one lock guards both.
+        # Registry triple -> (fingerprint, num_records), and -> its
+        # loaded table; one lock guards both.
         self._fingerprints: _LRU[_Triple, tuple[str, int]] = _LRU(
             FINGERPRINT_MEMO_SIZE
         )
-        self._tables: _LRU[_Triple, tuple[Table, EncodedTable]] = _LRU(
-            TABLE_MEMO_RECORDS
-        )
+        self._tables: _LRU[_Triple, _Loaded] = _LRU(TABLE_MEMO_RECORDS)
         self._memo_lock = threading.Lock()
 
     # ----------------------------------------------------------------- #
@@ -626,7 +633,9 @@ class AnonymizationService:
             return self._fingerprints.get(_triple(request))
 
     def _fingerprint(self, request: AnonymizeRequest, table: Table) -> str:
-        """Hash a loaded table; remember a registry triple's result.
+        """Hash a loaded table; remember a registry triple's result, and
+        its table for the triple's next miss (a hit that had to load,
+        after a restart or an eviction, leaves it there too).
 
         The fingerprint always hashes the full schema and rows (every
         permissible subset included): the memo saves loading and hashing
@@ -634,11 +643,21 @@ class AnonymizationService:
         """
         fingerprint = table_fingerprint(table)
         if self.loader is default_loader:
+            triple = _triple(request)
             with self._memo_lock:
-                self._fingerprints.add(
-                    _triple(request), (fingerprint, table.num_records)
-                )
+                self._fingerprints.add(triple, (fingerprint, table.num_records))
+            self._memoize(triple, table)
         return fingerprint
+
+    def _memoize(self, triple: _Triple, table: Table) -> _Loaded:
+        """Hold a registry triple's loaded table in the table memo, which
+        keeps an entry it already holds; return the new entry."""
+        loaded = _Loaded(table)
+        with self._memo_lock:
+            self._tables.add(
+                triple, loaded, table.num_records + TABLE_MEMO_OVERHEAD_RECORDS
+            )
+        return loaded
 
     def _encoded(
         self, request: AnonymizeRequest, table: Table | None
@@ -646,28 +665,27 @@ class AnonymizationService:
         """The table a miss runs on (``table`` if already loaded), with
         its encoding.
 
-        A registry triple's pair comes from the table memo, which holds
-        it only once both the load and the encode have succeeded; two
-        racing misses on one triple may both load, and the first insert
-        stays.  An injected loader's table is encoded afresh.
+        A registry triple's table comes from the table memo, and the
+        first miss on it encodes it there; two racing misses on one
+        triple may both load or encode, and the first insert stays.  An
+        injected loader's table is encoded afresh.
         """
         if self.loader is not default_loader:
             table = table if table is not None else self.loader(request)
             return table, EncodedTable(table)
         triple = _triple(request)
         with self._memo_lock:
-            entry = self._tables.get(triple)
-        if entry is not None:
-            return entry
-        table = table if table is not None else self.loader(request)
-        entry = (table, EncodedTable(table))
-        with self._memo_lock:
-            self._tables.add(
-                triple,
-                entry,
-                table.num_records + TABLE_MEMO_OVERHEAD_RECORDS,
+            loaded = self._tables.get(triple)
+        if loaded is None:
+            loaded = self._memoize(
+                triple, table if table is not None else self.loader(request)
             )
-        return entry
+        if loaded.encoded is None:
+            encoded = EncodedTable(loaded.table)
+            with self._memo_lock:
+                if loaded.encoded is None:
+                    loaded.encoded = encoded
+        return loaded.table, loaded.encoded
 
 
 def _triple(request: AnonymizeRequest) -> _Triple:

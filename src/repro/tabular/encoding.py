@@ -14,17 +14,18 @@ This module precomputes, per attribute:
 
 An :class:`EncodedTable` additionally deduplicates identical rows: all
 costs and closures depend only on the multiset of values, so algorithms
-can work on ``u ≤ n`` unique rows with multiplicities.
+can work on ``u ≤ n`` unique rows with multiplicities.  An encoding is
+read-only once built, so one encoding can serve many runs.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.errors import SchemaError
-from repro.obs import count
 from repro.tabular.hierarchy import SubsetCollection
 from repro.tabular.record import GeneralizedRecord
 from repro.tabular.table import GeneralizedTable, Table
@@ -80,6 +81,7 @@ class EncodedTable:
     value_counts:
         Per attribute, the empirical count of each domain value in the
         table — the distribution behind the entropy measure (Def. 4.3).
+        A :meth:`block` keeps the whole table's counts.
     """
 
     __slots__ = (
@@ -93,14 +95,12 @@ class EncodedTable:
         "unique_counts",
         "unique_singleton_nodes",
         "value_counts",
-        "_closure_cache",
         "_join_flat",
         "_join_offsets",
         "_join_cols",
     )
 
     def __init__(self, table: Table) -> None:
-        self.table = table
         self.schema = table.schema
         self.attrs: tuple[EncodedAttribute, ...] = tuple(
             EncodedAttribute(coll) for coll in self.schema.collections
@@ -112,38 +112,12 @@ class EncodedTable:
         for j, coll in enumerate(self.schema.collections):
             att = coll.attribute
             codes[:, j] = [att.index_of(row[j]) for row in table.rows]
-        self.codes = codes
-
-        self.singleton_nodes = np.empty_like(codes)
-        for j, att in enumerate(self.attrs):
-            self.singleton_nodes[:, j] = att.singleton[codes[:, j]]
-
-        uniq, inverse, counts = np.unique(
-            codes, axis=0, return_inverse=True, return_counts=True
-        )
-        self.unique_codes = uniq.astype(np.int32)
-        self.unique_inverse = inverse.astype(np.int64)
-        self.unique_counts = counts.astype(np.int64)
-        self.unique_singleton_nodes = np.empty_like(self.unique_codes)
-        for j, att in enumerate(self.attrs):
-            self.unique_singleton_nodes[:, j] = att.singleton[self.unique_codes[:, j]]
+        self._set_rows(table, codes)
 
         self.value_counts = tuple(
             np.bincount(codes[:, j], minlength=att.num_values).astype(np.int64)
             for j, att in enumerate(self.attrs)
         )
-
-        # Memoized closure lookups: (attribute, sorted unique value bytes)
-        # -> node index.  The agglomerative engine re-closes overlapping
-        # record sets thousands of times per run (merges, Algorithm 2
-        # shrinks); for the generic SubsetCollection each closure is a
-        # linear node scan, so the memo turns the hot path into a dict hit.
-        # It is the one member an algorithm writes.  The service shares
-        # one encoding per registry table across requests and threads;
-        # registry collections have exact joins, under which every rung
-        # of its chains closes clusters by join-table folds, so there
-        # the memo stays empty (tests/test_serve.py pins it).
-        self._closure_cache: dict[tuple[int, bytes], int] = {}
 
         # All per-attribute join tables concatenated flat, so a whole
         # [*, r] row join is ONE fancy-index instead of r separate ones
@@ -162,6 +136,40 @@ class EncodedTable:
         self._join_offsets = np.concatenate(
             ([0], np.cumsum(table_sizes[:-1]))
         )
+
+    def _set_rows(self, table: Table, codes: np.ndarray) -> None:
+        """Bind the records: ``table``, their ``int32[n, r]`` ``codes`` and
+        every array derived from the codes row by row."""
+        self.table = table
+        self.codes = codes
+        self.singleton_nodes = np.empty_like(codes)
+        for j, att in enumerate(self.attrs):
+            self.singleton_nodes[:, j] = att.singleton[codes[:, j]]
+        uniq, inverse, counts = np.unique(
+            codes, axis=0, return_inverse=True, return_counts=True
+        )
+        self.unique_codes = uniq.astype(np.int32)
+        self.unique_inverse = inverse.astype(np.int64)
+        self.unique_counts = counts.astype(np.int64)
+        self.unique_singleton_nodes = np.empty_like(self.unique_codes)
+        for j, att in enumerate(self.attrs):
+            self.unique_singleton_nodes[:, j] = att.singleton[self.unique_codes[:, j]]
+
+    def block(self, members: np.ndarray) -> EncodedTable:
+        """The records ``members`` (in that order) encoded as a table of
+        their own, for algorithms that run block by block.
+
+        The per-record arrays are the block's.  Everything schema-level
+        is shared with this encoding rather than rebuilt: the
+        per-attribute lookup tables and the flat join arrays.  So is
+        :attr:`value_counts`, the WHOLE table's distribution, because
+        eq. (3) conditions on the whole database, not on a block.
+        """
+        sub = copy.copy(self)
+        sub._set_rows(
+            self.table.subset([int(i) for i in members]), self.codes[members]
+        )
+        return sub
 
     # ------------------------------------------------------------------ #
     # shape accessors
@@ -202,31 +210,17 @@ class EncodedTable:
 
         Computed from the union of value sets per attribute (not by
         iterated joins), so it is exact even for non-laminar collections.
-        Results are memoized per (attribute, value set): the hot loops
-        re-close heavily overlapping record sets, and for the generic
-        collection each miss costs a linear node scan.
+        Nothing is cached: each call closes its value sets afresh.
+        Under :attr:`exact_joins` the join folds (:meth:`join_rows`,
+        :meth:`leave_one_out_closures`) give the same nodes.
         """
         idx = np.fromiter(indices, dtype=np.int64)
         if idx.size == 0:
             raise SchemaError("closure of an empty record set is undefined")
-        cache = self._closure_cache
         nodes = np.empty(self.num_attributes, dtype=np.int32)
-        hits = misses = 0
         for j, att in enumerate(self.attrs):
             values = np.unique(self.codes[idx, j])
-            key = (j, values.tobytes())
-            node = cache.get(key)
-            if node is None:
-                misses += 1
-                node = att.collection.closure_of_value_indices(values.tolist())
-                cache[key] = node
-            else:
-                hits += 1
-            nodes[j] = node
-        if hits:
-            count("tabular.closure.memo_hits", hits)
-        if misses:
-            count("tabular.closure.memo_misses", misses)
+            nodes[j] = att.collection.closure_of_value_indices(values.tolist())
         return nodes
 
     def leave_one_out_closures(self, indices: Sequence[int]) -> np.ndarray:

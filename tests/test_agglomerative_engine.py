@@ -25,6 +25,7 @@ from repro.measures.base import CostModel
 from repro.measures.entropy import EntropyMeasure
 from repro.measures.lm import LMMeasure
 from repro.measures.registry import get_measure
+from repro.obs import MetricsRegistry, metrics_scope
 from repro.tabular.attribute import Attribute
 from repro.tabular.encoding import EncodedTable
 from repro.tabular.hierarchy import SubsetCollection
@@ -500,13 +501,13 @@ def _shrink_routes(monkeypatch, table, k):
     calls = {"shrink": 0, "scan": 0}
     shrink, scan = _Engine._shrink, _Engine._shrink_scan
 
-    def spy_shrink(self, member_list):
+    def spy_shrink(self, member_list, closure):
         calls["shrink"] += 1
-        return shrink(self, member_list)
+        return shrink(self, member_list, closure)
 
-    def spy_scan(self, member_list):
+    def spy_scan(self, member_list, closure):
         calls["scan"] += 1
-        return scan(self, member_list)
+        return scan(self, member_list, closure)
 
     monkeypatch.setattr(_Engine, "_shrink", spy_shrink)
     monkeypatch.setattr(_Engine, "_shrink_scan", spy_scan)
@@ -541,6 +542,89 @@ class TestShrinkRouting:
         shrinks, scans = _shrink_routes(monkeypatch, table, 3)
         assert shrinks > 0
         assert scans == shrinks
+
+    @pytest.mark.parametrize(
+        "table,k",
+        [
+            (lambda: make_random_table(40, seed=3, domain_sizes=(6, 4, 3)), 6),
+            (make_interval_table, 8),
+            (lambda: load("art", n=150, seed=0), 10),
+        ],
+        ids=["laminar", "intervals", "art"],
+    )
+    def test_each_round_prices_the_closure_of_what_it_keeps(
+        self, monkeypatch, table, k
+    ):
+        """Every fold-path shrink round's d(S) is the cost of
+        ``closure_of_records`` of the members it keeps, though closures
+        are carried from round to round and never scanned."""
+        enc = EncodedTable(table())
+        model = CostModel(enc, LMMeasure())
+        rounds = []
+        loo = EncodedTable.leave_one_out_closures
+
+        def spy_loo(self, indices):
+            rounds.append(list(indices))
+            return loo(self, indices)
+
+        monkeypatch.setattr(EncodedTable, "leave_one_out_closures", spy_loo)
+        priced = []
+        d3 = get_distance("d3")
+
+        class RoundSpy:
+            def evaluate(self, size_a, cost_a, size_b, cost_b, cost_union):
+                if isinstance(size_b, int):  # dist(S, S \ {R}): a round
+                    priced.append(cost_a)
+                return d3.evaluate(size_a, cost_a, size_b, cost_b, cost_union)
+
+        agglomerative_clustering(model, k, RoundSpy(), modified=True)
+        assert priced and len(priced) == len(rounds)
+        assert any(  # some round carried a closure from the one before
+            len(later) == len(first) - 1 and set(later) < set(first)
+            for first, later in zip(rounds, rounds[1:])
+        )
+        for kept, cost in zip(rounds, priced):
+            want = model.record_cost(enc.closure_of_records(kept))
+            assert cost == want
+
+
+def _closure_scans(monkeypatch, table, measure, k, modified):
+    """Run Algorithm 1 (or 1+2) on ``table``; return the number of
+    ``closure_of_records`` calls it made and its metrics registry."""
+    calls = []
+    scan = EncodedTable.closure_of_records
+
+    def spy(self, indices):
+        calls.append(indices)
+        return scan(self, indices)
+
+    model = CostModel(EncodedTable(table), get_measure(measure))
+    monkeypatch.setattr(EncodedTable, "closure_of_records", spy)
+    registry = MetricsRegistry()
+    with metrics_scope(registry):
+        agglomerative_clustering(model, k, get_distance("d3"), modified=modified)
+    return len(calls), registry
+
+
+class TestClosureScans:
+    """Under exact joins the engine closes every cluster by join folds:
+    merges, Algorithm 2 rounds and the leftover step scan no closure."""
+
+    @pytest.mark.parametrize("modified", [False, True])
+    @pytest.mark.parametrize("dataset", ["art", "cmc", "adult"])
+    def test_exact_joins_scan_no_closure(self, monkeypatch, dataset, modified):
+        scans, registry = _closure_scans(
+            monkeypatch, load(dataset, n=200, seed=0), "lm", 4, modified
+        )
+        assert scans == 0
+        expelled = registry.counter("core.agglomerative.records_expelled")
+        assert (expelled > 0) == modified  # Algorithm 2 shrank clusters
+
+    def test_non_laminar_scans(self, monkeypatch):
+        scans, _ = _closure_scans(
+            monkeypatch, _non_laminar_table(), "lm", 3, True
+        )
+        assert scans > 0
 
 
 # --------------------------------------------------------------------- #

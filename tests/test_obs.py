@@ -354,14 +354,6 @@ class TestTracer:
 
 
 class TestInstrumentationCounters:
-    def test_closure_memo_hits_and_misses(self, small_encoded):
-        registry = MetricsRegistry()
-        with metrics_scope(registry):
-            small_encoded.closure_of_records([0, 1, 2])
-            small_encoded.closure_of_records([0, 1, 2])  # warm second pass
-        assert registry.counter("tabular.closure.memo_misses") > 0
-        assert registry.counter("tabular.closure.memo_hits") > 0
-
     def test_agglomerative_work_counters(self, entropy_model):
         registry = MetricsRegistry()
         with metrics_scope(registry):
@@ -652,7 +644,7 @@ class TestCli:
                 pass
         out_path = tmp_path / "trace.chrome.json"
         code = main([
-            "trace", "convert", str(trace_path), "--out", str(out_path)
+            "obs", "convert", str(trace_path), "--out", str(out_path)
         ])
         assert code == 0
         assert "1 spans converted" in capsys.readouterr().out
@@ -672,7 +664,7 @@ class TestCli:
         registry.inc("layer.widgets", 7)
         metrics_path.write_text(json.dumps(registry.snapshot()))
         code = main([
-            "trace", "summarize", str(trace_path),
+            "obs", "summarize", "--trace", str(trace_path),
             "--metrics", str(metrics_path),
         ])
         assert code == 0
@@ -683,5 +675,5 @@ class TestCli:
     def test_trace_summarize_without_inputs_is_an_error(self, capsys):
         from repro.cli import main
 
-        assert main(["trace", "summarize"]) == 2
+        assert main(["obs", "summarize"]) == 2
         assert "--metrics" in capsys.readouterr().err

@@ -258,16 +258,6 @@ class TestHotPathIdentity:
                 folds[i], art_enc.closure_of_records(rest)
             )
 
-    def test_closure_memo_is_transparent(self, art_enc):
-        subset = [2, 4, 8, 16]
-        cold = art_enc.closure_of_records(subset)
-        warm = art_enc.closure_of_records(subset)
-        np.testing.assert_array_equal(cold, warm)
-        art_enc._closure_cache.clear()
-        np.testing.assert_array_equal(
-            art_enc.closure_of_records(subset), cold
-        )
-
     def test_vectorized_shrink_equals_scan(self):
         from repro.core.agglomerative import _Engine
         from repro.core.distances import get_distance
@@ -279,6 +269,7 @@ class TestHotPathIdentity:
             model = CostModel(enc, get_measure(measure))
             engine = _Engine(model, get_distance("d3"), 5)
             members = list(range(20))
-            assert engine._shrink(list(members)) == (
-                engine._shrink_scan(list(members))
+            closure = enc.closure_of_records(members)
+            assert engine._shrink(list(members), closure) == (
+                engine._shrink_scan(list(members), closure)
             ), measure

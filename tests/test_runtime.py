@@ -298,6 +298,33 @@ class TestRetry:
         assert slept == list(policy.delays()[:2])
         assert observed == [0, 1]
 
+    def test_schedule_is_built_once_and_only_when_a_retry_happens(
+        self, monkeypatch
+    ):
+        built: list[RetryPolicy] = []
+        delays = RetryPolicy.delays
+
+        def counting_delays(policy):
+            built.append(policy)
+            return delays(policy)
+
+        monkeypatch.setattr(RetryPolicy, "delays", counting_delays)
+        policy = RetryPolicy(attempts=4, base_delay=0.1, seed=7)
+        assert call_with_retry(lambda: "ok", policy=policy) == "ok"
+        assert built == []  # a first-try success draws no jitter
+        slept: list[float] = []
+        calls = {"n": 0}
+
+        def flaky() -> str:
+            calls["n"] += 1
+            if calls["n"] <= 3:
+                raise OSError("disk hiccup")
+            return "ok"
+
+        assert call_with_retry(flaky, policy=policy, sleep=slept.append) == "ok"
+        assert built == [policy]
+        assert slept == list(delays(policy))  # the jittered schedule, whole
+
     def test_exhausted_attempts_reraise_last_error(self):
         slept: list[float] = []
 

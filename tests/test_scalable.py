@@ -89,14 +89,43 @@ class TestBlockedAgglomerative:
         assert clustering.num_clusters == model.enc.num_records
 
     def test_borrowed_costs_match_parent(self, model):
-        """The sub-models must score with the FULL table's distribution —
+        """A block's model scores with the FULL table's distribution —
         eq. (3) conditions on the whole database, not the block."""
-        from repro.core.scalable import _borrow_costs
+        members = np.arange(0, 60, 2)
+        block = model.block(members)
+        alone = CostModel(
+            EncodedTable(model.enc.table.subset(members.tolist())),
+            model.measure,
+        )
+        assert block.node_costs is model.node_costs
+        assert any(
+            not np.array_equal(parent, own)
+            for parent, own in zip(model.node_costs, alone.node_costs)
+        )  # the block's own distribution would price differently
+        assert block.enc.value_counts is model.enc.value_counts
+        for name in (
+            "codes",
+            "singleton_nodes",
+            "unique_codes",
+            "unique_inverse",
+            "unique_counts",
+            "unique_singleton_nodes",
+        ):
+            assert np.array_equal(
+                getattr(block.enc, name), getattr(alone.enc, name)
+            ), name
+        assert block.enc.table.rows == alone.enc.table.rows
+        assert block.enc.attrs is model.enc.attrs
 
-        sub_table = model.enc.table.subset(list(range(30)))
-        sub_model = _borrow_costs(model, EncodedTable(sub_table))
-        for a, b in zip(sub_model.node_costs, model.node_costs):
-            assert np.array_equal(a, b)
+    def test_block_model_has_every_slot(self, model):
+        weighted = CostModel(model.enc, model.measure, weights=(3.0, 1.0, 2.0))
+        block = weighted.block(np.arange(20))
+        for name in CostModel.__slots__:
+            assert hasattr(block, name), name
+        assert np.array_equal(block.weights, weighted.weights)
+        assert block.measure is weighted.measure
+        assert block.node_costs is weighted.node_costs
+        assert block.enc.num_records == 20
 
     def test_modified_flag_forwarded(self, model):
         clustering = blocked_agglomerative(

@@ -763,10 +763,6 @@ class TestTableMemo:
                     bodies.append(canonical_body({"body": body}))
                 assert bodies[0] == bodies[1], (notion, measure)
         assert check_inputs_unmutated(shared, before, "shared", "chains") == []
-        # The one member an algorithm writes: registry collections have
-        # exact joins, under which every rung closes clusters by join
-        # folds, so a memoized encoding's closure memo stays empty.
-        assert shared._closure_cache == {}
 
     @pytest.mark.parametrize("dataset", ["art", "cmc", "adult"])
     def test_rows_are_the_decoded_labels(self, dataset):
@@ -822,11 +818,35 @@ class TestTableMemo:
         assert again["meta"]["cache_hit"]  # ...to the same cache key
         assert canonical_body(again) == canonical_body(first)
         miss = service.handle(_request(n=30, k=3))
-        assert len(loads) == 5  # a hit memoizes no table; this miss does
+        assert len(loads) == 4  # the hit memoized its table for this miss
         assert canonical_body(miss) == _fresh_body(n=30, k=3)
         assert service.handle(_request(n=30, k=4))["status"] == "ok"
-        assert len(loads) == 5
+        assert len(loads) == 4
         assert _gauges(service)["serve.cache.tables"] == 2.0
+
+    def test_a_loading_hit_memoizes_its_table_but_encodes_nothing(
+        self, loads, monkeypatch
+    ):
+        expected = _fresh_body(k=3)
+        encodes = []
+        encoded_table = service_module.EncodedTable
+
+        def counting_encode(table):
+            encodes.append(table)
+            return encoded_table(table)
+
+        monkeypatch.setattr(service_module, "EncodedTable", counting_encode)
+        cache = ResultCache(retry=_FAST_RETRY, sleeper=_no_sleep)
+        _service(cache=cache).handle(_request())
+        assert len(loads) == len(encodes) == 1
+        restarted = _service(cache=cache)  # the bodies survive, no memo does
+        hit = restarted.handle(_request())
+        assert hit["meta"]["cache_hit"]
+        assert len(loads) == 2 and len(encodes) == 1  # loaded to hash it
+        assert _gauges(restarted)["serve.cache.tables"] == 1.0
+        miss = restarted.handle(_request(k=3))
+        assert canonical_body(miss) == expected
+        assert len(loads) == 2 and len(encodes) == 2  # encoded, not loaded
 
     def test_table_above_the_bound_is_served_but_not_memoized(
         self, loads, monkeypatch

@@ -17,14 +17,19 @@ edges, and added edges never revoke allowed status (the set of perfect
 matchings grows), so the procedure is monotone and terminates.
 
 Instead of re-running Hopcroft–Karp per edge (the paper's O(√n·m²)
-accounting), match sets are recomputed once per pass via the
-O(n+m) allowed-edge structure theorem (:mod:`repro.matching.allowed`);
-each deficient record receives one fix per pass, mirroring the paper's
-observation that "one such step was sufficient [...] in almost all of
-our experiments".  A fix's price reads only the record's own row and
-the singleton rows, so the fixes of one pass are independent: they are
-priced in one batch of (record, non-match neighbour) pairs and applied
-together.
+accounting), match counts are recomputed once per pass from the
+consistency graph: its edge (u, v) is a match iff u and v share a
+strongly connected component around the identity matching, which every
+pass keeps (record i generalizes row i, checked on entry, and a fix only
+generalizes further), and one SCC over the graph's quotient by "same row
+or same generalization" finds those components
+(:meth:`~repro.matching.bipartite.ConsistencyGraph.match_components`).
+So no pass runs Hopcroft–Karp.  Each deficient record receives one fix
+per pass, mirroring the paper's observation that "one such step was
+sufficient [...] in almost all of our experiments".  A fix's price
+reads only the record's own row and the singleton rows, so the fixes of
+one pass are independent: they are priced in one batch of (record,
+non-match neighbour) pairs and applied together.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ import numpy as np
 from repro.core.k1 import first_min_per_group
 from repro.core.one_k import check_generalizes_rows
 from repro.errors import AnonymityError
-from repro.matching.allowed import allowed_edges
 from repro.matching.bipartite import ConsistencyGraph
 from repro.measures.base import CostModel, FusedJoinCost
 from repro.runtime import checkpoint
@@ -114,7 +118,6 @@ def global_one_k_anonymize(
     while True:
         checkpoint("core.global_1k.pass")
         graph = ConsistencyGraph(enc, nodes)
-        adjacency = graph.adjacency_lists()
         degrees = graph.left_degrees()
         if int(degrees.min()) < k:
             raise AnonymityError(
@@ -122,23 +125,22 @@ def global_one_k_anonymize(
                 f"{int(degrees.argmin())} has only {int(degrees.min())} "
                 f"neighbours (< k={k})"
             )
-        allowed = allowed_edges(adjacency, n)
-        deficient = [i for i in range(n) if len(allowed[i]) < k]
-        if not deficient:
+        matches = graph.match_counts()
+        records = np.flatnonzero(matches < k)
+        if not records.size:
             break
         if stats.passes == max_passes:
             raise AnonymityError(
                 f"Algorithm 6 did not converge within {max_passes} passes"
             )
         if stats.passes == 0:
-            stats.initial_deficient = len(deficient)
-            for i in deficient:
-                gap = k - len(allowed[i])
+            stats.initial_deficient = records.size
+            for gap in (k - matches[records]).tolist():
                 stats.deficiency_histogram[gap] = (
                     stats.deficiency_histogram.get(gap, 0) + 1
                 )
         stats.passes += 1
-        records = np.asarray(deficient, dtype=np.int64)
+        left, right = graph.match_components()
         # Consecutive runs of records with about _BATCH_PAIRS pairs each.
         ends = np.cumsum(degrees[records])
         cuts = np.searchsorted(
@@ -147,7 +149,7 @@ def global_one_k_anonymize(
         picks = np.concatenate(
             [
                 _cheapest_upgrades(
-                    fused, singles_t, graph.adjacency, allowed, nodes, part
+                    fused, singles_t, graph.adjacency, left, right, nodes, part
                 )
                 for part in np.split(records, cuts)
                 if part.size
@@ -164,7 +166,8 @@ def _cheapest_upgrades(
     fused: FusedJoinCost,
     singles_t: np.ndarray,
     adjacency: list[np.ndarray],
-    allowed: list[set[int]],
+    left: np.ndarray,
+    right: np.ndarray,
     nodes: np.ndarray,
     records: np.ndarray,
 ) -> np.ndarray:
@@ -175,19 +178,14 @@ def _cheapest_upgrades(
     d_h = c(R_jh + R̄_i) − c(R̄_i), R_jh the original record j_h, and
     c(R̄_i) is constant per record, so the least d_h is the least union
     cost.  Each price reads only the record's own row and a singleton
-    row, so the fixes of one pass are independent of each other.
+    row, so the fixes of one pass are independent of each other.  The
+    edge (i, j) is a match iff ``left[i] == right[j]``
+    (:meth:`~repro.matching.bipartite.ConsistencyGraph.match_components`).
     """
-    n = len(adjacency)
-    rows = records.tolist()
-    lists = [adjacency[i] for i in rows]
+    lists = [adjacency[i] for i in records.tolist()]
     neighbour = np.concatenate(lists)
     owner = np.repeat(records, [len(a) for a in lists])
-    matches = np.sort(
-        np.fromiter((i * n + j for i in rows for j in allowed[i]), np.int64)
-    )
-    keys = owner * n + neighbour
-    hit = matches[np.searchsorted(matches, keys).clip(max=matches.size - 1)]
-    upgrade = hit != keys
+    upgrade = left[owner] != right[neighbour]
     owner, neighbour = owner[upgrade], neighbour[upgrade]
     # Every record keeps a pair: its degree is ≥ k > its match count.
     costs = fused.elementwise_costs(singles_t[:, neighbour], nodes.T[:, owner])

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.matching.allowed import allowed_edges
 from repro.matching.bipartite import ConsistencyGraph
 from repro.tabular.encoding import EncodedTable
 
@@ -80,9 +79,7 @@ def is_kk_anonymous(enc: EncodedTable, node_matrix: np.ndarray, k: int) -> bool:
 
 def match_count_per_record(enc: EncodedTable, node_matrix: np.ndarray) -> np.ndarray:
     """Number of matches (Definition 4.6) of every original record."""
-    graph = ConsistencyGraph(enc, node_matrix)
-    allowed = allowed_edges(graph.adjacency_lists(), graph.num_records)
-    return np.array([len(s) for s in allowed], dtype=np.int64)
+    return ConsistencyGraph(enc, node_matrix).match_counts()
 
 
 def is_global_one_k_anonymous(
@@ -149,8 +146,7 @@ def anonymity_profile(
     min_left = int(graph.left_degrees().min())
     min_right = int(graph.right_degrees().min())
     if with_matches:
-        allowed = allowed_edges(graph.adjacency_lists(), graph.num_records)
-        min_matches = min(len(s) for s in allowed)
+        min_matches = int(graph.match_counts().min())
     else:
         min_matches = 0
     return AnonymityProfile(min_group, min_left, min_right, min_matches)

@@ -4,11 +4,7 @@ Consistency graphs, from-scratch Hopcroft–Karp, Tarjan SCC, and the
 allowed-edge computation behind Definition 4.6's match test.
 """
 
-from repro.matching.allowed import (
-    allowed_edges,
-    allowed_edges_naive,
-    match_counts,
-)
+from repro.matching.allowed import allowed_edges, allowed_edges_naive
 from repro.matching.bipartite import ConsistencyGraph
 from repro.matching.bruteforce import kuhn_matching, max_matching_size
 from repro.matching.hopcroft_karp import (
@@ -28,5 +24,4 @@ __all__ = [
     "strongly_connected_components",
     "allowed_edges",
     "allowed_edges_naive",
-    "match_counts",
 ]

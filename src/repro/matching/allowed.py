@@ -16,21 +16,50 @@ cross-checking) and the standard O(n + m) structure theorem
     M-alternating cycle — Berge).
 
 Both functions take the bipartite graph as left-side adjacency lists and
-return, per left vertex, the set of allowed right neighbours.
+return, per left vertex, the set of allowed right neighbours, so they
+serve any bipartite graph (adversary 3's pruned one included).  On
+consistency graphs they are the oracles of :func:`quotient_components`,
+which :class:`~repro.matching.bipartite.ConsistencyGraph` runs on the
+graph's (unique row, distinct generalization) pairs:
+
+    Contract left w with its matched right vertex M(w).  Then u → w iff
+    row u is consistent with the generalization of M(w), and (u, v) is
+    allowed iff u and M⁻¹(v) share an SCC of this n-vertex digraph.
+    Every record is consistent with its own matched generalization, so
+    two records with the same row reach each other in one step, and so
+    do two records whose matched generalizations are equal.  Each class
+    of "same row or same generalization" therefore lies inside one SCC,
+    and the SCC runs on the quotient by those classes: one vertex per
+    class and one arc per consistent pair that crosses two classes.
+
+The consistency graph of every generalization the library produces
+contains the identity matching (record i generalizes row i), so the
+graph calls Hopcroft–Karp only for node matrices that break it.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+from numpy.typing import NDArray
+
 from repro.errors import MatchingError
 from repro.matching.hopcroft_karp import hopcroft_karp
 from repro.matching.tarjan import strongly_connected_components
+from repro.obs import count
 
 
-def _perfect_matching(
+def perfect_matching(
     adj: Sequence[Sequence[int]], num_right: int
 ) -> tuple[list[int], list[int]]:
+    """``(match_left, match_right)`` of a perfect matching, by Hopcroft–Karp.
+
+    Raises
+    ------
+    MatchingError
+        If the graph has none.
+    """
     num_left = len(adj)
     match_left, match_right, size = hopcroft_karp(adj, num_right)
     if size != num_left or size != num_right:
@@ -54,7 +83,7 @@ def allowed_edges(
         every generalization graph contains the identity matching).
     """
     num_left = len(adj)
-    match_left, match_right = _perfect_matching(adj, num_right)
+    match_left, match_right = perfect_matching(adj, num_right)
 
     # Vertices 0..num_left-1 are left; num_left..num_left+num_right-1 right.
     directed: list[list[int]] = [[] for _ in range(num_left + num_right)]
@@ -90,7 +119,7 @@ def allowed_edges_naive(
     speed-up.
     """
     num_left = len(adj)
-    _perfect_matching(adj, num_right)  # validate the precondition
+    perfect_matching(adj, num_right)  # validate the precondition
 
     allowed: list[set[int]] = []
     for u in range(num_left):
@@ -109,6 +138,79 @@ def allowed_edges_naive(
     return allowed
 
 
-def match_counts(adj: Sequence[Sequence[int]], num_right: int) -> list[int]:
-    """Number of matches (Definition 4.6) of every left vertex."""
-    return [len(s) for s in allowed_edges(adj, num_right)]
+def quotient_components(
+    matched_rows: NDArray[np.int64],
+    matched_gens: NDArray[np.int64],
+    pair_rows: NDArray[np.int64],
+    pair_gens: NDArray[np.int64],
+    num_rows: int,
+    num_gens: int,
+) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
+    """SCC ids of rows and generalizations around one perfect matching.
+
+    The bipartite graph joins records to generalized records through
+    their rows and generalizations: ``pair_rows[p]`` is consistent with
+    ``pair_gens[p]``, and the edge (u, v) exists iff (row of u,
+    generalization of v) is such a pair.  The perfect matching pairs
+    record w with a generalized record whose generalization is
+    ``matched_gens[w]``; ``matched_rows[w]`` is w's row.
+
+    Returns ``(row_comp, gen_comp)``: the edge (u, v) is allowed iff
+    ``row_comp[row of u] == gen_comp[generalization of v]``.  Each id is
+    the SCC of the class containing that row or generalization (see the
+    module docstring); ids are only compared for equality.
+    """
+    # Classes of "same row or same generalization": union-find over the
+    # distinct matched (row, generalization) pairs, rows numbered first.
+    matched = _distinct(matched_rows * num_gens + matched_gens)
+    parent = list(range(num_rows + num_gens))
+    size = [1] * (num_rows + num_gens)
+    # repro: allow[REP011] single pass over the distinct matched pairs
+    for a, b in zip(
+        (matched // num_gens).tolist(), (matched % num_gens + num_rows).tolist()
+    ):
+        while parent[a] != a:  # path halving
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:  # union by size
+            if size[a] < size[b]:
+                a, b = b, a
+            parent[b] = a
+            size[a] += size[b]
+    roots = []
+    # repro: allow[REP011] single pass over the row and generalization vertices
+    for v in range(num_rows + num_gens):
+        root = v
+        while parent[root] != root:
+            root = parent[root]
+        roots.append(root)
+    classes, label = np.unique(roots, return_inverse=True)
+    num_classes = classes.size
+    count("matching.allowed.classes", num_classes)
+
+    # The class digraph: one arc per consistent pair crossing two classes.
+    tail = label[pair_rows]
+    head = label[num_rows + pair_gens]
+    cross = tail != head
+    arcs = _distinct(tail[cross] * num_classes + head[cross])
+    bounds = np.searchsorted(arcs, np.arange(num_classes + 1) * num_classes)
+    heads = (arcs % num_classes).tolist()
+    out = [heads[a:b] for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+    comp = np.asarray(strongly_connected_components(out), dtype=np.int64)[label]
+    return comp[:num_rows], comp[num_rows:]
+
+
+def _distinct(keys: NDArray[np.int64]) -> NDArray[np.int64]:
+    """The distinct values of ``keys``, ascending.
+
+    Sorting once and masking repeats: on the class digraph's arcs this
+    is several times faster than ``np.unique``, which hashes plain
+    integer arrays in NumPy 2.
+    """
+    keys = np.sort(keys)
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]

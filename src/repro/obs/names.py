@@ -41,6 +41,7 @@ METRIC_NAMES: FrozenSet[str] = frozenset(
         # experiments
         "experiments.cell_seconds",
         # matching
+        "matching.allowed.classes",
         "matching.hopcroft_karp.augmenting_paths",
         "matching.hopcroft_karp.path_steps",
         "matching.hopcroft_karp.phases",

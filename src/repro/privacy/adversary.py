@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.matching.allowed import allowed_edges
 from repro.matching.bipartite import ConsistencyGraph
 from repro.tabular.encoding import EncodedTable
 
@@ -110,6 +109,5 @@ class Adversary2:
         every candidate set has ≥ k members even here.
         """
         graph = ConsistencyGraph(enc, node_matrix)
-        allowed = allowed_edges(graph.adjacency_lists(), graph.num_records)
-        candidates = tuple(frozenset(int(v) for v in s) for s in allowed)
+        candidates = tuple(frozenset(s) for s in graph.matches())
         return LinkageResult(self.name, candidates)

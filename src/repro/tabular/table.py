@@ -198,10 +198,20 @@ class Table:
         return tuple(row[j] for row in self._rows)
 
     def subset(self, indices: Sequence[int]) -> "Table":
-        """A new table holding the selected records (in the given order)."""
-        rows = [self._rows[i] for i in indices]
-        priv = [self._private_rows[i] for i in indices] if self._private_rows else None
-        return Table(self._schema, rows, priv)
+        """A new table holding the selected records (in the given order).
+
+        This table's rows are already validated, so the subset takes
+        them as they are rather than through :meth:`Schema.validate_row`.
+        """
+        sub = Table.__new__(Table)
+        sub._schema = self._schema
+        sub._rows = tuple(self._rows[i] for i in indices)
+        sub._private_rows = (
+            tuple(self._private_rows[i] for i in indices)
+            if self._private_rows
+            else ()
+        )
+        return sub
 
     def __len__(self) -> int:
         return len(self._rows)

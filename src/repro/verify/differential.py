@@ -19,7 +19,9 @@ executes all of them on one fuzz instance and demands:
   the per-record reference adjacency and right degrees;
 * the matching oracles agree on the output's consistency graph
   (Hopcroft–Karp vs brute force, SCC allowed edges vs the paper's
-  naive per-edge test);
+  naive per-edge test), and the graph's own match sets and counts
+  (one SCC over its row/generalization quotient) equal the SCC
+  allowed edges;
 * the high-level :func:`repro.core.api.anonymize` facade verifies and
   reports the cost the cost model recomputes;
 * no algorithm writes to the encoded arrays the instance shares across
@@ -58,7 +60,8 @@ from repro.core.reference import (
     reference_one_k,
 )
 from repro.core.scalable import blocked_agglomerative
-from repro.errors import ReproError
+from repro.errors import MatchingError, ReproError
+from repro.matching.allowed import allowed_edges
 from repro.matching.bipartite import ConsistencyGraph
 from repro.measures.base import CostModel
 from repro.measures.registry import get_measure
@@ -368,6 +371,32 @@ def _check_graph_reference(
     ]
 
 
+def _check_graph_matches(
+    graph: ConsistencyGraph, adjacency: list[list[int]]
+) -> list[Violation]:
+    """The graph's quotient match sets and counts vs :func:`allowed_edges`
+    on its adjacency lists; both must refuse a graph with no perfect
+    matching."""
+    try:
+        expected = allowed_edges(adjacency, graph.num_records)
+    except MatchingError:
+        try:
+            graph.match_counts()
+        except MatchingError:
+            return []
+        expected = None
+    if expected is not None and graph.matches() == expected and (
+        graph.match_counts().tolist() == [len(s) for s in expected]
+    ):
+        return []
+    return [
+        Violation(
+            "differential.graph-matches",
+            "ConsistencyGraph match sets or counts differ from allowed_edges",
+        )
+    ]
+
+
 def differential_check(
     instance: Instance, include_matching: bool = True
 ) -> list[Violation]:
@@ -443,10 +472,10 @@ def differential_check(
         graph = ConsistencyGraph(enc, kk_nodes)
         out.extend(_check_graph_reference(enc, graph))
     if include_matching and kk_nodes is not None:
+        adjacency = graph.adjacency_lists()
         out.extend(
-            check_matching_oracles(
-                graph.adjacency_lists(), enc.num_records, label="kk-graph"
-            )
+            check_matching_oracles(adjacency, enc.num_records, label="kk-graph")
         )
+        out.extend(_check_graph_matches(graph, adjacency))
     out.extend(check_api_end_to_end(instance))
     return out

@@ -7,12 +7,11 @@ endpoint-deletion method on random graphs with perfect matchings.
 import numpy as np
 import pytest
 
+from repro.core.relations import kk_attack_example, nodes_from_value_lists
 from repro.errors import MatchingError
-from repro.matching.allowed import (
-    allowed_edges,
-    allowed_edges_naive,
-    match_counts,
-)
+from repro.matching.allowed import allowed_edges, allowed_edges_naive
+from repro.matching.bipartite import ConsistencyGraph
+from repro.tabular.encoding import EncodedTable
 
 
 def _random_graph_with_pm(rng, n, extra_p):
@@ -65,10 +64,14 @@ class TestAllowedEdges:
             [3, 4, 5],   # value 5 in {4,5,6}, {5,6}, {5,6}
             [3, 4, 5],   # value 6
         ]
-        counts = match_counts(adj, 6)
+        table, gen = kk_attack_example()
+        enc = EncodedTable(table)
+        graph = ConsistencyGraph(enc, nodes_from_value_lists(enc, gen))
+        assert graph.adjacency_lists() == adj
         # Records 3 and 4 keep a single match; records 5 and 6 lose their
         # edge to {4,5,6} too (using it would starve records 1-4).
-        assert counts == [2, 2, 1, 1, 2, 2]
+        assert graph.match_counts().tolist() == [2, 2, 1, 1, 2, 2]
+        assert graph.matches() == allowed_edges(adj, 6)
 
     def test_no_perfect_matching_rejected(self):
         with pytest.raises(MatchingError, match="no perfect matching"):

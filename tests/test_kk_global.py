@@ -1,5 +1,7 @@
 """Unit tests for (k,k)-anonymization and the global (1,k) converter."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -146,3 +148,47 @@ class TestGlobalConversion:
         out, stats = global_one_k_anonymize(model, kk_nodes, k)
         assert is_global_one_k_anonymous(model.enc, out, k)
         assert stats.passes <= k + 1
+
+
+class TestIdentityMatching:
+    """Algorithm 6 reads its match counts off the identity matching: no
+    Hopcroft–Karp, the literal reference's output, and the diagnostics
+    it reported when it ran Hopcroft–Karp + Tarjan on every pass."""
+
+    # (dataset, passes, fixes, initial_deficient, histogram items in
+    # insertion order) for LM, k=5, n=200, seed 0.
+    PINNED = [
+        ("art", 1, 56, 56, [(3, 10), (4, 9), (1, 28), (2, 9)]),
+        ("cmc", 1, 131, 131, [(2, 31), (1, 21), (3, 35), (4, 44)]),
+        ("adult", 1, 98, 98, [(1, 18), (3, 26), (2, 20), (4, 34)]),
+    ]
+
+    @pytest.mark.parametrize("dataset,passes,fixes,deficient,histogram", PINNED)
+    def test_no_hopcroft_karp_same_output(
+        self, monkeypatch, dataset, passes, fixes, deficient, histogram
+    ):
+        from repro.core.reference import reference_global_one_k
+        from repro.datasets import load
+
+        # The package re-exports the function under the module's name.
+        allowed = importlib.import_module("repro.matching.allowed")
+        hopcroft_karp = importlib.import_module("repro.matching.hopcroft_karp")
+        model = CostModel(EncodedTable(load(dataset, n=200, seed=0)), LMMeasure())
+        kk = kk_anonymize(model, 5)
+        calls = []
+        original = hopcroft_karp.hopcroft_karp
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(allowed, "hopcroft_karp", spy)
+        monkeypatch.setattr(hopcroft_karp, "hopcroft_karp", spy)
+        nodes, stats = global_one_k_anonymize(model, kk, 5)
+        assert calls == []
+        assert np.array_equal(nodes, reference_global_one_k(model, kk, 5))
+        assert calls, "the reference stays on Hopcroft–Karp + Tarjan"
+        assert (stats.passes, stats.fixes, stats.initial_deficient) == (
+            passes, fixes, deficient
+        )
+        assert list(stats.deficiency_histogram.items()) == histogram

@@ -389,6 +389,21 @@ class TestInstrumentationCounters:
         assert registry.counter("matching.hopcroft_karp.phases") >= 1
         assert registry.counter("matching.hopcroft_karp.path_steps") >= 3
 
+    def test_match_class_counter(self):
+        from repro.core.relations import kk_attack_example, nodes_from_value_lists
+        from repro.matching.bipartite import ConsistencyGraph
+        from repro.tabular.encoding import EncodedTable
+
+        table, gen = kk_attack_example()
+        enc = EncodedTable(table)
+        registry = MetricsRegistry()
+        with metrics_scope(registry):
+            ConsistencyGraph(enc, nodes_from_value_lists(enc, gen)).match_counts()
+        # Six distinct rows; records 5 and 6 share the generalization
+        # {5,6}, so their classes merge.
+        assert registry.counter("matching.allowed.classes") == 5
+        assert registry.counter("matching.hopcroft_karp.phases") == 0
+
     def test_kuhn_counters(self):
         registry = MetricsRegistry()
         adj = [[0, 1], [0], [1, 2]]
@@ -586,10 +601,10 @@ class TestSummarize:
 
     def test_demo_grid_reports_the_acceptance_counters(self, tmp_path):
         # The acceptance floor: agglomerative candidates scanned and
-        # augmenting-path steps must both be nonzero on a demo grid that
-        # includes a "global" cell.  (Cluster closures are join folds,
-        # so this grid never reaches the closure memo; its counters are
-        # covered by TestInstrumentationCounters.)
+        # match-computation classes must both be nonzero on a demo grid
+        # that includes a "global" cell.  (Algorithm 6 matches on the
+        # identity, so Hopcroft–Karp never runs here; its counters are
+        # covered by test_hopcroft_karp_counters.)
         tracer = Tracer(tmp_path / "trace.jsonl", clock=FakeClock())
         registry = MetricsRegistry()
         with trace_scope(tracer), metrics_scope(registry):
@@ -599,10 +614,10 @@ class TestSummarize:
         snap = registry.snapshot()
         counters = snap["counters"]
         assert counters["core.agglomerative.candidates_scanned"] > 0
-        assert counters["matching.hopcroft_karp.path_steps"] > 0
+        assert counters["matching.allowed.classes"] > 0
         report = summarize(tracer.events, snap)
         assert "experiments.cell" in report
-        assert "matching.hopcroft_karp.path_steps" in report
+        assert "matching.allowed.classes" in report
         assert "experiments.cell_seconds" in report
 
 

@@ -152,6 +152,26 @@ class TestTable:
         sub = t.subset([1])
         assert sub.private_rows == (("q",),)
 
+    def test_subset_does_not_revalidate(self, monkeypatch):
+        a = Attribute("a", ["1", "2", "3"])
+        schema = Schema([SubsetCollection(a)], private_attributes=("z",))
+        t = Table(schema, [("1",), ("2",), ("3",)], [("p",), ("q",), ("r",)])
+        calls = []
+        original = Schema.validate_row
+
+        def spy(self, row):
+            calls.append(row)
+            return original(self, row)
+
+        monkeypatch.setattr(Schema, "validate_row", spy)
+        sub = t.subset([2, 0, 2])
+        assert calls == []
+        rebuilt = Table(schema, [("3",), ("1",), ("3",)], [("r",), ("p",), ("r",)])
+        assert sub.schema is rebuilt.schema
+        assert sub.rows == rebuilt.rows
+        assert sub.private_rows == rebuilt.private_rows
+        assert len(calls) == 3  # the rebuild validates; the subset did not
+
     def test_private_rows_required_when_declared(self):
         a = Attribute("a", ["1"])
         schema = Schema([SubsetCollection(a)], private_attributes=("z",))

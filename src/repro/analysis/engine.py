@@ -39,6 +39,7 @@ from repro.analysis.rules import RULE_DOCS as BASE_RULE_DOCS
 from repro.analysis.rules import ModuleContext, Rule
 from repro.analysis.semantic import SEMANTIC_RULE_DOCS, SEMANTIC_RULES
 from repro.errors import ReproError
+from repro.obs.durable import read_json, replace_text
 
 #: ``# repro: allow[REP001,REP004] why this is fine``
 _SUPPRESS_RE = re.compile(
@@ -112,10 +113,7 @@ class Baseline:
     @classmethod
     def load(cls, path: str | Path) -> "Baseline":
         path = Path(path)
-        try:
-            raw = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ReproError(f"cannot read baseline {path}: {exc}") from exc
+        raw = read_json(path)
         entries = raw.get("entries", [])
         for entry in entries:
             missing = {"rule", "path", "message", "reason"} - set(entry)
@@ -171,8 +169,9 @@ class Baseline:
         removed = len(self.entries) - len(kept)
         self.entries = kept
         if self.path is not None and removed:
-            self.path.write_text(
-                json.dumps({"version": 1, "entries": kept}, indent=2) + "\n"
+            replace_text(
+                self.path,
+                json.dumps({"version": 1, "entries": kept}, indent=2) + "\n",
             )
         return removed
 

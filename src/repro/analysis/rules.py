@@ -936,6 +936,14 @@ _SPAN_HELPERS = {
     "repro.obs.tracer.span",
 }
 
+#: Checkpoint/fault-site helpers whose first argument is a site name.
+_SITE_HELPERS = {
+    "repro.runtime.checkpoint",
+    "repro.runtime.fault_point",
+    "repro.runtime.deadline.checkpoint",
+    "repro.runtime.faults.fault_point",
+}
+
 #: Registry methods whose *literal* first arguments are also checked
 #: (receiver types are unknown statically, so dynamic first arguments
 #: on methods are left alone).
@@ -975,7 +983,7 @@ def _fstring_prefix(node: ast.JoinedStr) -> str:
 
 
 class UnregisteredMetricName(Rule):
-    """REP015: a metric/span name not registered in ``repro.obs.names``.
+    """REP015: a metric/span/site name not registered in ``repro.obs.names``.
 
     Telemetry names are stringly-typed contracts: dashboards, the SLO
     objectives, the Prometheus exposition and the window snapshots all
@@ -983,7 +991,9 @@ class UnregisteredMetricName(Rule):
     Every name passed to ``count``/``gauge``/``observe``/``span`` (and
     to literal ``inc``/``set_gauge`` method calls) must be a literal
     found in :data:`repro.obs.names.METRIC_NAMES` /
-    :data:`~repro.obs.names.SPAN_NAMES`.  The one sanctioned dynamic
+    :data:`~repro.obs.names.SPAN_NAMES`, and every site passed to
+    ``checkpoint``/``fault_point`` one in ``KNOWN_SITES`` (a misspelled
+    site is never injected at).  The one sanctioned dynamic
     shape is an f-string whose literal prefix is registered in
     :data:`~repro.obs.names.DYNAMIC_METRIC_PREFIXES` (status/reason
     families like ``serve.status.*``).  Anything computed — a variable,
@@ -992,16 +1002,18 @@ class UnregisteredMetricName(Rule):
     """
 
     rule_id = "REP015"
-    summary = "metric/span name is not a registered literal from repro.obs.names"
+    summary = "metric/span/site name is not a registered literal from repro.obs.names"
 
     def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
         from repro.obs.names import (
             DYNAMIC_METRIC_PREFIXES,
+            KNOWN_SITES,
             is_registered_metric,
             is_registered_span,
         )
 
         aliases = _module_aliases(ctx.tree, "repro.obs")
+        aliases.update(_module_aliases(ctx.tree, "repro.runtime"))
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call) or not node.args:
                 continue
@@ -1010,6 +1022,8 @@ class UnregisteredMetricName(Rule):
                 kind = "metric"
             elif target in _SPAN_HELPERS:
                 kind = "span"
+            elif target in _SITE_HELPERS:
+                kind = "site"
             elif (
                 isinstance(node.func, ast.Attribute)
                 and node.func.attr in _METRIC_METHODS
@@ -1035,7 +1049,7 @@ class UnregisteredMetricName(Rule):
             for leaf in leaves:
                 if isinstance(leaf, ast.JoinedStr):
                     prefix = _fstring_prefix(leaf)
-                    if kind == "span" or not any(
+                    if kind != "metric" or not any(
                         prefix.startswith(p)
                         for p in DYNAMIC_METRIC_PREFIXES
                     ):
@@ -1051,11 +1065,12 @@ class UnregisteredMetricName(Rule):
                         )
                     continue
                 name = leaf.value  # type: ignore[attr-defined]
-                registered = (
-                    is_registered_span(name)
-                    if kind == "span"
-                    else is_registered_metric(name)
-                )
+                if kind == "site":
+                    registered = name in KNOWN_SITES
+                elif kind == "span":
+                    registered = is_registered_span(name)
+                else:
+                    registered = is_registered_metric(name)
                 if not registered:
                     yield Finding(
                         ctx.rel,
@@ -1063,8 +1078,8 @@ class UnregisteredMetricName(Rule):
                         leaf.col_offset,
                         self.rule_id,
                         f"{kind} name '{name}' is not registered in "
-                        "repro.obs.names; add it to the registry so "
-                        "dashboards and SLOs can rely on the series",
+                        "repro.obs.names; add it to the registry so its "
+                        "readers (dashboards, SLOs, fault plans) agree",
                     )
 
 

@@ -66,8 +66,10 @@ import sys
 from typing import Sequence
 
 from repro.core.api import anonymize
+from repro.core.notions import NOTIONS
 from repro.datasets.registry import dataset_names, default_size, load
 from repro.errors import DeadlineExceeded, ReproError
+from repro.obs.durable import read_json, replace_text
 from repro.tabular.encoding import EncodedTable
 from repro.tabular.io import (
     read_generalized_csv,
@@ -111,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     anon.add_argument(
         "--notion",
         default="kk",
-        choices=["k", "1k", "k1", "kk", "global-1k"],
+        choices=NOTIONS,
         help="anonymity notion (default kk)",
     )
     anon.add_argument(
@@ -610,7 +612,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 "paths"
             )
         graph = build_tree_callgraph(root)
-        Path(args.callgraph).write_text(graph.to_json_text())
+        replace_text(args.callgraph, graph.to_json_text())
         print(f"call graph written to {args.callgraph}", file=sys.stderr)
     if args.output_format == "json":
         payload: object = (
@@ -694,9 +696,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             )
     print(rendering.text)
     if args.out:
-        from pathlib import Path
-
-        Path(args.out).write_text(rendering.text)
+        replace_text(args.out, rendering.text)
         print(f"report written to {args.out}")
     if args.trace:
         print(f"trace written to {args.trace}")
@@ -767,22 +767,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_json(path: str, what: str) -> dict:
-    import json
-    from pathlib import Path
-
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ReproError(f"cannot read {what} {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ReproError(f"{what} {path} is not a JSON object")
-    return payload
-
-
 def _cmd_obs(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from repro.obs import (
         load_obs_journal,
@@ -800,12 +786,12 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     if args.obs_command == "summarize":
         events = load_trace(args.trace) if args.trace else []
         snapshot = (
-            _read_json(args.metrics, "metrics snapshot")
+            read_json(args.metrics)
             if args.metrics
             else None
         )
         flight = (
-            _read_json(args.flight, "flight dump") if args.flight else None
+            read_json(args.flight) if args.flight else None
         )
         if not events and snapshot is None and flight is None:
             raise ReproError(
@@ -814,18 +800,15 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         print(summarize(events, snapshot, flight))
         return 0
     if args.obs_command == "export":
-        text = render_prometheus(_read_json(args.snapshot, "snapshot"))
+        text = render_prometheus(read_json(args.snapshot))
         if args.out:
-            Path(args.out).write_text(text)
+            replace_text(args.out, text)
             print(f"exposition written to {args.out}", file=sys.stderr)
         else:
             print(text, end="")
         return 0
     # tail
-    try:
-        records = load_obs_journal(args.journal)
-    except OSError as exc:
-        raise ReproError(f"cannot read journal {args.journal}: {exc}") from exc
+    records = load_obs_journal(args.journal)
     shown = records[-args.records:] if args.records else []
     print(
         f"{args.journal}: {len(records)} records"

@@ -40,7 +40,7 @@ from repro.core.forest import forest_clustering
 from repro.core.global_1k import global_one_k_anonymize
 from repro.core.k1 import k1_expansion, k1_nearest_neighbors
 from repro.core.kk import kk_anonymize
-from repro.core.notions import NOTIONS, anonymity_profile, satisfies
+from repro.core.notions import anonymity_profile, normalize_notion, satisfies
 from repro.core.one_k import one_k_anonymize
 from repro.errors import AnonymityError
 from repro.measures.base import CostModel, LossMeasure
@@ -171,11 +171,7 @@ def anonymize(
     the :class:`GeneralizedTable` is decoded only when
     :attr:`AnonymizationResult.generalized` is first read.
     """
-    notion = notion.lower()
-    if notion not in NOTIONS and notion not in ("g1k", "global"):
-        raise AnonymityError(
-            f"unknown anonymity notion {notion!r}; expected one of {NOTIONS}"
-        )
+    notion = normalize_notion(notion)
     if k < 1:
         raise AnonymityError(f"k must be a positive integer, got {k}")
     enc = encoded if encoded is not None else EncodedTable(table)
@@ -252,7 +248,6 @@ def anonymize(
         stats["conversion_passes"] = conv.passes
         stats["conversion_fixes"] = conv.fixes
         stats["initial_deficient"] = conv.initial_deficient
-        notion = "global-1k"
     elapsed = timer.elapsed()
 
     cost = model.table_cost(node_matrix)

@@ -26,10 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.notions import group_sizes
 from repro.errors import AnonymityError, SchemaError
 from repro.measures.base import CostModel
 from repro.runtime import checkpoint
-from repro.tabular.encoding import EncodedTable
+from repro.tabular.encoding import EncodedTable, unique_rows
 
 
 def _parent_table(enc: EncodedTable) -> list[np.ndarray]:
@@ -88,10 +89,7 @@ def datafly(model: CostModel, k: int) -> DataflyResult:
     steps: list[str] = []
     while True:
         checkpoint("core.datafly.step")
-        _, inverse, counts = np.unique(
-            nodes, axis=0, return_inverse=True, return_counts=True
-        )
-        small = counts[inverse] < k
+        small = group_sizes(nodes) < k
         if int(small.sum()) <= k:
             break
         # Most distinct current values among records in undersized classes
@@ -121,9 +119,7 @@ def datafly(model: CostModel, k: int) -> DataflyResult:
     suppressed: set[int] = set()
     while True:
         checkpoint("core.datafly.step")
-        _, inverse, counts = np.unique(
-            nodes, axis=0, return_inverse=True, return_counts=True
-        )
+        _, inverse, counts = unique_rows(nodes)
         is_full = (nodes == full).all(axis=1)
         undersized = counts[inverse] < k
         broken = np.flatnonzero(undersized & ~is_full)

@@ -25,20 +25,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import AnonymityError
 from repro.matching.bipartite import ConsistencyGraph
-from repro.tabular.encoding import EncodedTable
+from repro.tabular.encoding import EncodedTable, unique_rows
 
-#: Canonical notion names accepted by :func:`satisfies` and the high-level API.
+#: Canonical notion names accepted by :func:`satisfies` and the high-level
+#: API.  The fuzz generator draws from this tuple, so its order is fixed.
 NOTIONS = ("k", "1k", "k1", "kk", "global-1k")
+
+#: Alternative spellings :func:`normalize_notion` accepts.
+_NOTION_ALIASES = {"g1k": "global-1k", "global": "global-1k"}
+
+
+def normalize_notion(notion: str) -> str:
+    """The canonical name of ``notion`` (lower-cased, aliases resolved);
+    :class:`~repro.errors.AnonymityError` if it names none of
+    :data:`NOTIONS`."""
+    name = notion.lower()
+    name = _NOTION_ALIASES.get(name, name)
+    if name not in NOTIONS:
+        raise AnonymityError(
+            f"unknown anonymity notion {name!r}; expected one of {NOTIONS}"
+        )
+    return name
 
 
 def group_sizes(node_matrix: np.ndarray) -> np.ndarray:
     """Per-record size of its equivalence class of identical generalized
     records (the quantity behind Definition 4.1)."""
-    node_matrix = np.asarray(node_matrix)
-    _, inverse, counts = np.unique(
-        node_matrix, axis=0, return_inverse=True, return_counts=True
-    )
+    _, inverse, counts = unique_rows(node_matrix)
     return counts[inverse]
 
 
@@ -92,8 +107,9 @@ def is_global_one_k_anonymous(
 def satisfies(
     enc: EncodedTable, node_matrix: np.ndarray, notion: str, k: int
 ) -> bool:
-    """Check any notion by name: ``k``, ``1k``, ``k1``, ``kk``, ``global-1k``."""
-    notion = notion.lower()
+    """Check any notion of :data:`NOTIONS` by name (case-insensitive;
+    ``g1k`` and ``global`` mean ``global-1k``)."""
+    notion = normalize_notion(notion)
     if notion == "k":
         return is_k_anonymous(node_matrix, k)
     if notion == "1k":
@@ -102,9 +118,7 @@ def satisfies(
         return is_k_one_anonymous(enc, node_matrix, k)
     if notion == "kk":
         return is_kk_anonymous(enc, node_matrix, k)
-    if notion in ("global-1k", "g1k", "global"):
-        return is_global_one_k_anonymous(enc, node_matrix, k)
-    raise ValueError(f"unknown anonymity notion {notion!r}; expected one of {NOTIONS}")
+    return is_global_one_k_anonymous(enc, node_matrix, k)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from itertools import product
 import numpy as np
 
 from repro.core.notions import (
+    NOTIONS,
     is_global_one_k_anonymous,
     is_k_anonymous,
     is_k_one_anonymous,
@@ -33,9 +34,6 @@ from repro.tabular.attribute import Attribute
 from repro.tabular.encoding import EncodedTable
 from repro.tabular.hierarchy import SubsetCollection
 from repro.tabular.table import Schema, Table
-
-#: Class labels, in the order used by census keys.
-CLASSES = ("k", "1k", "k1", "kk", "global-1k")
 
 
 def proposition_45_example() -> tuple[Table, dict[str, list[list[str]]]]:
@@ -253,8 +251,8 @@ def check_figure1(census: RelationCensus) -> list[str]:
     problems = []
     # Inclusions (must hold for every table).
     for key in census.counts:
-        if "k" in key and key != frozenset(CLASSES):
-            missing = set(CLASSES) - set(key)
+        if "k" in key and key != frozenset(NOTIONS):
+            missing = set(NOTIONS) - set(key)
             problems.append(
                 f"a k-anonymization is missing from classes {sorted(missing)}"
             )

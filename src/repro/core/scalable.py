@@ -25,6 +25,7 @@ import numpy as np
 from repro.core.agglomerative import agglomerative_clustering
 from repro.core.clustering import Clustering
 from repro.core.distances import ClusterDistance
+from repro.core.mondrian import _best_split
 from repro.errors import AnonymityError
 from repro.measures.base import CostModel
 from repro.runtime import checkpoint
@@ -34,7 +35,8 @@ from repro.tabular.encoding import EncodedTable
 def _partition_blocks(
     enc: EncodedTable, block_size: int, k: int
 ) -> list[np.ndarray]:
-    """Mondrian-style median splits until blocks fit ``block_size``.
+    """Mondrian median splits (:func:`~repro.core.mondrian._best_split`)
+    until blocks fit ``block_size``.
 
     Splits keep both sides ≥ max(k, block_size // 4) so no block ever
     drops below k records.
@@ -48,24 +50,7 @@ def _partition_blocks(
         if len(members) <= block_size:
             blocks.append(members)
             continue
-        codes = enc.codes[members]
-        order = np.argsort(
-            [-len(np.unique(codes[:, j])) for j in range(enc.num_attributes)],
-            kind="stable",
-        )
-        split = None
-        for j in order:
-            column = codes[:, j]
-            if len(np.unique(column)) < 2:
-                continue
-            median = np.median(column)
-            left_mask = column <= median
-            if left_mask.all():
-                left_mask = column < median
-            left, right = members[left_mask], members[~left_mask]
-            if len(left) >= floor and len(right) >= floor:
-                split = (left, right)
-                break
+        split = _best_split(enc, members, floor)
         if split is None:
             blocks.append(members)  # unsplittable (near-uniform) block
         else:

@@ -38,20 +38,7 @@ from repro.tabular.encoding import EncodedTable
 
 def sensitive_column(enc: EncodedTable, attribute: str | None = None) -> list[str]:
     """Values of the sensitive (private) attribute, one per record."""
-    schema = enc.schema
-    if not schema.private_attributes:
-        raise SchemaError(
-            "ℓ-diversity needs a private attribute, but the schema declares none"
-        )
-    name = attribute or schema.private_attributes[0]
-    try:
-        col = schema.private_attributes.index(name)
-    except ValueError:
-        raise SchemaError(
-            f"no private attribute named {name!r} "
-            f"(have {schema.private_attributes})"
-        ) from None
-    return [row[col] for row in enc.table.private_rows]
+    return list(enc.table.private_column(attribute))
 
 
 def cluster_diversities(

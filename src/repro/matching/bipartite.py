@@ -32,7 +32,7 @@ from numpy.typing import NDArray
 
 from repro.matching.allowed import perfect_matching, quotient_components
 from repro.runtime import checkpoint
-from repro.tabular.encoding import EncodedTable
+from repro.tabular.encoding import EncodedTable, unique_rows
 
 
 class ConsistencyGraph:
@@ -74,15 +74,7 @@ class ConsistencyGraph:
             )
         self.enc = enc
         self.node_matrix = node_matrix
-        # Distinct generalizations, each row viewed as one opaque value:
-        # np.unique(axis=0) compares field by field and was 6× slower.
-        contiguous = np.ascontiguousarray(node_matrix)
-        whole_rows = contiguous.view(
-            np.dtype((np.void, contiguous.dtype.itemsize * contiguous.shape[1]))
-        ).reshape(n)
-        _, first, gen_of, gen_counts = np.unique(
-            whole_rows, return_index=True, return_inverse=True, return_counts=True
-        )
+        first, gen_of, gen_counts = unique_rows(node_matrix)
         gens = node_matrix[first]
         self.gen_of = gen_of.astype(np.int64)
         self.gen_counts = gen_counts.astype(np.int64)

@@ -34,27 +34,10 @@ class ClassificationMeasure(ClusteringMeasure):
     def __init__(self, class_attribute: str | None = None) -> None:
         self._class_attribute = class_attribute
 
-    def _labels(self, enc: EncodedTable) -> list[str]:
-        schema = enc.schema
-        if not schema.private_attributes:
-            raise SchemaError(
-                "the CM measure needs a private class attribute, but the "
-                "schema declares none"
-            )
-        name = self._class_attribute or schema.private_attributes[0]
-        try:
-            col = schema.private_attributes.index(name)
-        except ValueError:
-            raise SchemaError(
-                f"no private attribute named {name!r} "
-                f"(have {schema.private_attributes})"
-            ) from None
-        return [row[col] for row in enc.table.private_rows]
-
     def clustering_cost(
         self, enc: EncodedTable, clusters: Sequence[Sequence[int]]
     ) -> float:
-        labels = self._labels(enc)
+        labels = enc.table.private_column(self._class_attribute)
         n = enc.num_records
         covered = sum(len(c) for c in clusters)
         if covered != n:

@@ -18,8 +18,10 @@ Zero-dependency, deterministic-by-default observability:
 - :func:`render_prometheus` — Prometheus text exposition of any
   snapshot; :func:`append_obs_record` / :func:`load_obs_journal` — the
   ``OBS_*.jsonl`` snapshot journal, stamped by :func:`default_stamp`.
-- ``repro.obs.names`` — the checked-in metric/span name registry
-  enforced by lint rule REP015.
+- ``repro.obs.names`` — the checked-in metric/span/checkpoint-site
+  name registry enforced by lint rule REP015.
+- ``repro.obs.durable`` — the one fsynced JSON-line append, torn-tail
+  reader and atomic replace every persisted file goes through.
 
 Everything is off by default: with no scope active the helpers cost a
 single ``ContextVar`` read, and :class:`NullTracer` /
@@ -51,6 +53,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.names import (
     DYNAMIC_METRIC_PREFIXES,
+    KNOWN_SITES,
     METRIC_NAMES,
     SPAN_NAMES,
     is_registered_metric,
@@ -89,6 +92,7 @@ __all__ = [
     "Clock",
     "DYNAMIC_METRIC_PREFIXES",
     "FLIGHT_VERSION",
+    "KNOWN_SITES",
     "METRICS_VERSION",
     "METRIC_NAMES",
     "OBS_SCHEMA",

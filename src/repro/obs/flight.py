@@ -7,8 +7,9 @@ SLO can be debugged from the dump it triggered instead of from a
 reproduction attempt.  Three ways out of the ring:
 
 - :meth:`snapshot` — served live on ``GET /debugz``;
-- :meth:`dump` — atomic file write (tmp + ``os.replace``), fired once
-  per SLO breach edge and from the chaos drill;
+- :meth:`dump` — atomic file write
+  (:func:`repro.obs.durable.replace_text`), fired once per SLO breach
+  edge and from the chaos drill;
 - the ring itself simply forgetting: fixed capacity, oldest-first
   eviction, with an explicit ``dropped`` tally so a dump is honest
   about what it no longer holds.
@@ -27,6 +28,7 @@ import time
 from collections import deque
 from typing import Any, Deque, Dict, Mapping
 
+from repro.obs.durable import replace_text
 from repro.obs.tracer import Clock
 
 __all__ = [
@@ -95,17 +97,10 @@ class FlightRecorder:
     def dump(self, path: "str | os.PathLike[str]") -> Dict[str, Any]:
         """Write the snapshot atomically; returns what was written.
 
-        Write-to-temp then ``os.replace`` (the ``write_chrome_trace``
-        idiom): a reader never sees a half-written dump, and a crash
-        mid-dump leaves any previous dump intact.
+        A reader never sees a half-written dump, a crash mid-dump leaves
+        any previous dump intact, and concurrent dumps each write their
+        own temp file (:func:`~repro.obs.durable.replace_text`).
         """
         snap = self.snapshot()
-        target = os.fspath(path)
-        tmp = f"{target}.tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(snap, handle, sort_keys=True, indent=2)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, target)
+        replace_text(path, json.dumps(snap, sort_keys=True, indent=2) + "\n")
         return snap

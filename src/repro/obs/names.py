@@ -1,13 +1,14 @@
-"""Checked-in registry of every metric and span name in the codebase.
+"""Checked-in registry of every metric, span and checkpoint-site name.
 
 Metric names are stringly-typed: ``count("core.aglomerative.merges")``
 (note the typo) silently records to a dead key and every dashboard,
-SLO and cost model downstream reads zero forever.  This module is the
-single source of truth that turns that silent failure into a lint
-error: rule ``REP015`` (``repro.analysis.rules``) requires every
-``count``/``gauge``/``observe``/``span`` call site to pass a literal
-name found here, or an f-string whose literal prefix matches one of
-:data:`DYNAMIC_METRIC_PREFIXES`.
+SLO and cost model downstream reads zero forever; a misspelled
+checkpoint site is never injected at.  This module is the single
+source of truth that turns that silent failure into a lint error: rule
+``REP015`` (``repro.analysis.rules``) requires every
+``count``/``gauge``/``observe``/``span``/``checkpoint``/``fault_point``
+call site to pass a literal name found here, or an f-string whose
+literal prefix matches one of :data:`DYNAMIC_METRIC_PREFIXES`.
 
 Adding an instrumentation point is therefore a two-line change: the
 call site plus one entry here — which is exactly the point, because
@@ -20,6 +21,7 @@ from typing import FrozenSet
 
 __all__ = [
     "DYNAMIC_METRIC_PREFIXES",
+    "KNOWN_SITES",
     "METRIC_NAMES",
     "SPAN_NAMES",
     "is_registered_metric",
@@ -89,6 +91,39 @@ SPAN_NAMES: FrozenSet[str] = frozenset(
         "serve.execute",
         "serve.recover",
         "serve.request",
+    }
+)
+
+#: Every checkpoint/fault site: tallied into spans, injected at by a
+#: ``FaultPlan`` (which rejects an exact name not listed here).
+KNOWN_SITES: FrozenSet[str] = frozenset(
+    {
+        "core.agglomerative.init",
+        "core.agglomerative.merge",
+        "core.forest.round",
+        "core.forest.component",
+        "core.k1.row",
+        "core.k1.grow",
+        "core.one_k.record",
+        "core.kk.couple",
+        "core.global_1k.pass",
+        "core.mondrian.split",
+        "core.kmember.cluster",
+        "core.datafly.step",
+        "core.scalable.block",
+        "matching.bipartite.row",
+        "datasets.load",
+        "runtime.journal.append",
+        "runtime.journal.load",
+        "runtime.journal.replace",
+        "experiments.cell",
+        "perf.parallel.submit",
+        "perf.parallel.collect",
+        "serve.accept",
+        "serve.enqueue",
+        "serve.execute",
+        "serve.cache.load",
+        "serve.cache.store",
     }
 )
 

@@ -125,43 +125,18 @@ def worst_status(results: Sequence[SLOResult]) -> str:
 
 
 def default_objectives(
-    *,
-    latency_target: float = 0.5,
-    latency_quantile: float = 0.99,
-    error_target: float = 0.01,
-    shed_target: float = 0.05,
-    fast_window: float = 60.0,
-    slow_window: float = 300.0,
+    *, latency_target: float = 0.5
 ) -> Tuple[SLObjective, ...]:
-    """The serving path's stock objectives: p99 latency, errors, shed."""
+    """The serving path's stock objectives: p99 latency ≤
+    ``latency_target`` seconds, error ratio ≤ 1 %, shed ratio ≤ 5 %,
+    each at :class:`SLObjective`'s default windows (60 s fast, 300 s
+    slow)."""
     return (
+        SLObjective("latency-p99", "latency_quantile", latency_target),
         SLObjective(
-            name="latency-p99",
-            kind="latency_quantile",
-            target=latency_target,
-            quantile=latency_quantile,
-            metric="serve.request_seconds",
-            fast_window=fast_window,
-            slow_window=slow_window,
+            "error-ratio", "error_ratio", 0.01, bad=("serve.errors.",)
         ),
-        SLObjective(
-            name="error-ratio",
-            kind="error_ratio",
-            target=error_target,
-            bad=("serve.errors.",),
-            total="serve.requests",
-            fast_window=fast_window,
-            slow_window=slow_window,
-        ),
-        SLObjective(
-            name="shed-ratio",
-            kind="shed_ratio",
-            target=shed_target,
-            bad=("serve.shed.",),
-            total="serve.requests",
-            fast_window=fast_window,
-            slow_window=slow_window,
-        ),
+        SLObjective("shed-ratio", "shed_ratio", 0.05, bad=("serve.shed.",)),
     )
 
 

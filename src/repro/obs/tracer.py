@@ -16,11 +16,12 @@ loaders, fallback rungs and the parallel submit/collect loop — so
 traces show *where work went* without any per-iteration event emission
 or new plumbing.
 
-Durability follows the journal's single-writer discipline: each
-completed span is one JSON line, appended under a lock with
-flush+fsync, and the loader tolerates a torn final line.  Timestamps
-come from an injectable :data:`Clock` (the same callable shape
-``repro.runtime.deadline`` uses), stored relative to the tracer's
+Persistence goes through :mod:`repro.obs.durable`, like every journal
+in the library: each completed span is one JSON line appended under the
+tracer's lock with flush+fsync, :func:`load_trace` skips a torn final
+line, and :func:`write_chrome_trace` replaces its target atomically.
+Timestamps come from an injectable :data:`Clock` (the same callable
+shape ``repro.runtime.deadline`` uses), stored relative to the tracer's
 origin so fake clocks yield byte-deterministic traces.
 
 ``repro-anon obs convert`` turns the JSONL into Chrome
@@ -37,6 +38,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+
+from repro.obs.durable import append_json_line, read_json_lines, replace_text
 
 __all__ = [
     "Clock",
@@ -141,17 +144,12 @@ class Tracer:
             record["sites"] = {
                 site: frame.sites[site] for site in sorted(frame.sites)
             }
-        line = json.dumps(record, sort_keys=True)
-        # Single-writer discipline (same as runtime.journal): one lock,
-        # append, flush, fsync — concurrent threads interleave whole
+        # One lock per tracer: concurrent threads interleave whole
         # lines, never fragments, and a crash loses at most the last.
         with self._lock:
-            self.events.append(record)
             if self.path is not None:
-                with open(self.path, "a", encoding="utf-8") as handle:
-                    handle.write(line + "\n")
-                    handle.flush()
-                    os.fsync(handle.fileno())
+                append_json_line(self.path, record)
+            self.events.append(record)
 
 
 class NullTracer(Tracer):
@@ -236,25 +234,12 @@ def observe_site(site: str) -> None:
 
 
 def load_trace(path: "str | os.PathLike[str]") -> List[Dict[str, Any]]:
-    """Read a span JSONL file, tolerating a torn final line.
+    """Read a span JSONL file, skipping a torn final line.
 
-    Mirrors the journal loader's crash posture: a truncated or corrupt
-    trailing line (the only kind an fsync-per-line writer can produce)
-    is skipped rather than fatal.
+    Raises :class:`~repro.errors.ReproError` if the file cannot be read
+    (:func:`~repro.obs.durable.read_json_lines`).
     """
-    events: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for raw in handle:
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict):
-                events.append(record)
-    return events
+    return read_json_lines(path)[0]
 
 
 def chrome_trace(events: List[Dict[str, Any]]) -> Dict[str, Any]:
@@ -289,8 +274,5 @@ def write_chrome_trace(
     events: List[Dict[str, Any]], path: "str | os.PathLike[str]"
 ) -> None:
     """Serialize :func:`chrome_trace` output to ``path`` atomically."""
-    target = Path(path)
     payload = json.dumps(chrome_trace(events), sort_keys=True)
-    tmp = target.with_suffix(target.suffix + ".tmp")
-    tmp.write_text(payload + "\n", encoding="utf-8")
-    os.replace(tmp, target)
+    replace_text(path, payload + "\n")

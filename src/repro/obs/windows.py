@@ -18,21 +18,20 @@ tests flaky).
 
 This module also owns the ``OBS_*.jsonl`` snapshot journal — the
 committed work-unit counts a cost model of the layers can be fitted
-against.  Appends are flush+fsync whole lines and the loader tolerates
-a torn tail, mirroring ``Tracer``'s crash posture.  The journal I/O is
-local on purpose: ``repro.obs`` sits below ``repro.runtime`` in the
-import DAG and must not borrow its helpers.
+against.  Its bytes go through :mod:`repro.obs.durable`, like the span
+traces and the runtime journal: whole-line appends with flush+fsync,
+and a loader that skips a torn tail.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
 from datetime import datetime, timezone
 from typing import Any, Dict, List, Mapping, Optional
 
+from repro.obs.durable import append_json_line, read_json_lines
 from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
@@ -277,38 +276,21 @@ def append_obs_record(
             if key in record:
                 raise ValueError(f"extra key {key!r} collides with the schema")
             record[key] = extra[key]
-    line = json.dumps(record, sort_keys=True)
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(line + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
+    append_json_line(path, record)
     return record
 
 
 def load_obs_journal(
     path: "str | os.PathLike[str]",
 ) -> List[Dict[str, Any]]:
-    """Read an OBS journal, tolerating a torn final line.
+    """Read an OBS journal, skipping a torn final line.
 
     Records whose ``schema`` is not ``repro.obs.snapshot/*`` are
-    skipped (forward compatibility), matching the trace loader's
-    posture of never failing a read over a tail the writer may have
-    been killed in the middle of.
+    skipped too (forward compatibility).  Raises
+    :class:`~repro.errors.ReproError` if the file cannot be read.
     """
-    records: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for raw in handle:
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError:
-                continue
-            if not isinstance(record, dict):
-                continue
-            schema = record.get("schema", "")
-            if not str(schema).startswith("repro.obs.snapshot/"):
-                continue
-            records.append(record)
-    return records
+    return [
+        record
+        for record in read_json_lines(path)[0]
+        if str(record.get("schema", "")).startswith("repro.obs.snapshot/")
+    ]

@@ -78,9 +78,11 @@ def _canonical_outcome(outcome_json: dict) -> dict:
 
     ``seconds`` is zeroed (worker vs parent wall-clock), and any
     ``metrics`` snapshot is stripped: cell metrics are *execution*
-    deltas, and a worker's cold caches legitimately record different
-    hit/miss splits than the serial runner's warm ones.  Results —
-    costs and extra diagnostics — must still match byte-for-byte.
+    deltas, and a worker loads and encodes its dataset inside its first
+    cell where the serial runner reuses the tables it already built, so
+    any work counted during that setup lands in different cells.
+    Results — costs and extra diagnostics — must still match
+    byte-for-byte.
     """
     canonical = dict(outcome_json)
     canonical["seconds"] = 0.0

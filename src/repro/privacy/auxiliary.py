@@ -24,11 +24,11 @@ unchanged.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from repro.errors import AnonymityError, SchemaError
+from repro.errors import AnonymityError
 from repro.matching.allowed import allowed_edges
 from repro.matching.bipartite import ConsistencyGraph
 from repro.privacy.adversary import LinkageResult
@@ -59,23 +59,6 @@ class Adversary3:
         self.known_records = frozenset(int(i) for i in known_records)
         self.sensitive_attribute = sensitive_attribute
 
-    def _sensitive(self, enc: EncodedTable) -> Sequence[str]:
-        schema = enc.schema
-        if not schema.private_attributes:
-            raise SchemaError(
-                "adversary 3 needs a private attribute, but the schema "
-                "declares none"
-            )
-        name = self.sensitive_attribute or schema.private_attributes[0]
-        try:
-            col = schema.private_attributes.index(name)
-        except ValueError:
-            raise SchemaError(
-                f"no private attribute named {name!r} "
-                f"(have {schema.private_attributes})"
-            ) from None
-        return [row[col] for row in enc.table.private_rows]
-
     def attack(self, enc: EncodedTable, node_matrix: np.ndarray) -> LinkageResult:
         """Match-based candidates on the auxiliary-pruned graph."""
         n = enc.num_records
@@ -84,7 +67,7 @@ class Adversary3:
                 raise AnonymityError(
                     f"known record index {i} out of range 0..{n - 1}"
                 )
-        sensitive = self._sensitive(enc)
+        sensitive = enc.table.private_column(self.sensitive_attribute)
         graph = ConsistencyGraph(enc, node_matrix)
         adjacency = []
         for u in range(n):

@@ -24,6 +24,7 @@ from pathlib import Path
 
 from repro.core.api import AnonymizationResult
 from repro.errors import AnonymityError, SchemaError
+from repro.obs.durable import read_json, replace_text
 from repro.privacy.risk import release_risks
 from repro.tabular.encoding import EncodedTable
 from repro.tabular.io import (
@@ -133,7 +134,7 @@ def save_release(
                 "marketer": adv2.marketer,
             },
         }
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    replace_text(directory / "manifest.json", json.dumps(manifest, indent=2))
     return directory
 
 
@@ -144,6 +145,8 @@ def load_release(directory: str | Path) -> ReleaseBundle:
     ------
     SchemaError
         If a bundle file is missing or malformed.
+    ReproError
+        If a JSON file of the bundle cannot be read.
     AnonymityError
         If the manifest version is unsupported.
     """
@@ -151,7 +154,7 @@ def load_release(directory: str | Path) -> ReleaseBundle:
     for required in ("release.csv", "schema.json", "manifest.json"):
         if not (directory / required).exists():
             raise SchemaError(f"release bundle is missing {required}")
-    manifest = json.loads((directory / "manifest.json").read_text())
+    manifest = read_json(directory / "manifest.json")
     version = manifest.get("manifest_version")
     if version != MANIFEST_VERSION:
         raise AnonymityError(

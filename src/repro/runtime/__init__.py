@@ -35,7 +35,6 @@ from repro.runtime.deadline import (
     limit_scope,
 )
 from repro.runtime.faults import (
-    KNOWN_SITES,
     FaultPlan,
     FaultSpec,
     active_plan,
@@ -57,7 +56,6 @@ __all__ = [
     "active_limits",
     "FaultPlan",
     "FaultSpec",
-    "KNOWN_SITES",
     "fault_scope",
     "fault_point",
     "active_plan",

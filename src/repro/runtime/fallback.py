@@ -48,15 +48,12 @@ from repro.tabular.table import Table
 
 @dataclass(frozen=True)
 class Rung:
-    """One step of a degradation chain."""
+    """One step of a degradation chain: :func:`anonymize` at its
+    defaults (``d3``, no shrink, expansion) under ``rung_timeout``."""
 
     name: str  #: display name in the report
     notion: str = "k"  #: anonymity notion passed to :func:`anonymize`
     algorithm: str | None = None  #: for ``notion="k"``; ``"suppress"`` is terminal
-    distance: str = "d3"  #: agglomerative distance
-    modified: bool = False  #: Algorithm 2's shrink step
-    expander: str = "expansion"  #: (k,1) stage for k1/kk/global-1k
-    timeout: float | None = None  #: per-rung wall-clock cap, seconds
 
 
 #: Good-first, cheap-last.  The terminal ``suppress`` rung is O(n·r)
@@ -202,9 +199,6 @@ def _run_rung(
         notion=rung.notion,
         measure=measure,
         algorithm=rung.algorithm,
-        distance=rung.distance,
-        modified=rung.modified,
-        expander=rung.expander,
         encoded=enc,
     )
 
@@ -236,7 +230,7 @@ def run_with_fallback(
         Wall-clock budget for the whole chain; once spent, remaining
         rungs are recorded as ``skipped``.
     rung_timeout:
-        Default per-rung cap; a rung's own ``timeout`` wins when set.
+        Per-rung wall-clock cap, seconds.
     clock:
         Injectable monotonic clock (tests use a fake).
     encoded:
@@ -273,9 +267,8 @@ def run_with_fallback(
         limits: list[Deadline] = []
         if overall is not None:
             limits.append(overall)
-        cap = rung.timeout if rung.timeout is not None else rung_timeout
-        if cap is not None:
-            limits.append(Deadline.after(cap, clock=clock))
+        if rung_timeout is not None:
+            limits.append(Deadline.after(rung_timeout, clock=clock))
         timer = Timer(clock=clock)
         try:
             with timer, limit_scope(*limits), span(

@@ -25,47 +25,13 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from random import Random
 from typing import Iterator
 
 from repro.errors import InjectedFault, ReproError
-
-#: The canonical checkpoint/fault sites the library ships.  Glob
-#: patterns in a plan may match several; injecting at an exact name not
-#: listed here is rejected to catch typos (sites are load-bearing —
-#: a misspelled site silently never fires).
-KNOWN_SITES: frozenset[str] = frozenset(
-    {
-        "core.agglomerative.init",
-        "core.agglomerative.merge",
-        "core.forest.round",
-        "core.forest.component",
-        "core.k1.row",
-        "core.k1.grow",
-        "core.one_k.record",
-        "core.kk.couple",
-        "core.global_1k.pass",
-        "core.mondrian.split",
-        "core.kmember.cluster",
-        "core.datafly.step",
-        "core.scalable.block",
-        "matching.bipartite.row",
-        "datasets.load",
-        "runtime.journal.append",
-        "runtime.journal.load",
-        "runtime.journal.replace",
-        "experiments.cell",
-        "perf.parallel.submit",
-        "perf.parallel.collect",
-        "serve.accept",
-        "serve.enqueue",
-        "serve.execute",
-        "serve.cache.load",
-        "serve.cache.store",
-    }
-)
+from repro.obs.names import KNOWN_SITES
 
 
 @dataclass(frozen=True)

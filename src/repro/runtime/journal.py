@@ -1,63 +1,39 @@
-"""Crash-safe JSONL journals and atomic file writes.
+"""Crash-safe JSONL journals and atomic file writes, with fault sites.
 
 The experiment harness can spend hours filling a (dataset, algorithm,
 measure, k) grid; a crash at cell 900 of 1000 must not lose the first
 899.  The journal is an append-only JSONL file of completed cells —
 each line is one self-contained ``{"key": ..., "value": ..., "v": 1}``
-object, flushed and fsynced before the cell is considered durable.
-Because appends are atomic-per-line in practice, the only corruption a
-crash can produce is a torn *final* line, which :meth:`Journal.entries`
-tolerates (and reports) instead of refusing the whole file.
+object, durable once :meth:`Journal.append` returns.  A crash can only
+tear the *final* line, which :meth:`Journal.entries` skips and counts
+instead of refusing the whole file.
 
+The bytes and the torn-line policy live in :mod:`repro.obs.durable`,
+shared with traces, the OBS journal and whole-file artifacts; this
+module adds the record shape and the ``runtime.journal.*`` fault sites.
 The journal is generic — keys and values are plain JSON objects — so it
 lives in the low-level runtime layer; the experiment runner owns the
 typed ``RunKey`` and converts at the boundary.
-
-:func:`atomic_write_text` is the sibling primitive for whole-file
-artifacts (reports, baselines): write to a temp file in the same
-directory, fsync, then ``os.replace`` so readers never observe a
-half-written file.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Any, Iterator
 
 from repro.errors import ReproError
+from repro.obs.durable import append_json_line, read_json_lines, replace_text
 from repro.runtime.deadline import checkpoint
 
 #: Journal line schema version.
 JOURNAL_VERSION = 1
 
 
-def atomic_write_text(path: str | Path, text: str, encoding: str = "utf-8") -> None:
-    """Write ``text`` to ``path`` atomically (temp file + ``os.replace``).
-
-    The temp file lands in the destination directory so the final
-    rename never crosses filesystems.  Readers see either the old file
-    or the complete new one, never a prefix.
-    """
-    target = Path(path)
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """:func:`repro.obs.durable.replace_text` behind the
+    ``runtime.journal.replace`` fault site."""
     checkpoint("runtime.journal.replace")
-    fd, tmp_name = tempfile.mkstemp(
-        dir=target.parent, prefix=target.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding=encoding) as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, target)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    replace_text(path, text)
 
 
 class Journal:
@@ -72,7 +48,7 @@ class Journal:
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self.corrupt_lines = 0  #: torn/unparsable lines seen by entries()
+        self.corrupt_lines = 0  #: torn/malformed lines seen by entries()
 
     def exists(self) -> bool:
         """Whether the journal file is present on disk."""
@@ -81,50 +57,38 @@ class Journal:
     def append(self, key: dict[str, Any], value: dict[str, Any]) -> None:
         """Durably append one record (flush + fsync before returning)."""
         checkpoint("runtime.journal.append")
-        line = json.dumps(
+        append_json_line(
+            self.path,
             {"v": JOURNAL_VERSION, "key": key, "value": value},
-            sort_keys=True,
             default=_jsonify,
         )
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
 
     def entries(self) -> list[tuple[dict[str, Any], dict[str, Any]]]:
         """Every intact ``(key, value)`` record, in append order.
 
-        A torn or unparsable line — the signature of a crash mid-append
-        — is skipped and counted in :attr:`corrupt_lines` rather than
-        failing the load; resuming from a prefix is always safe because
-        the journal only ever records *finished* work.
+        A torn line — the signature of a crash mid-append — or an object
+        without ``v``, a ``key`` object and a ``value`` object is skipped
+        and counted in :attr:`corrupt_lines` rather than failing the
+        load; resuming from a prefix is always safe because the journal
+        only ever records *finished* work.  An unreadable file or another
+        journal version raises :class:`~repro.errors.ReproError`.
         """
         checkpoint("runtime.journal.load")
         self.corrupt_lines = 0
         if not self.path.is_file():
             return []
+        records, self.corrupt_lines = read_json_lines(self.path)
         out: list[tuple[dict[str, Any], dict[str, Any]]] = []
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ReproError(f"cannot read journal {self.path}: {exc}") from exc
-        for raw in text.splitlines():
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                record = json.loads(raw)
-                key = record["key"]
-                value = record["value"]
-                version = record["v"]
-            except (json.JSONDecodeError, KeyError, TypeError):
+        for record in records:
+            if not {"v", "key", "value"} <= record.keys():
                 self.corrupt_lines += 1
                 continue
-            if version != JOURNAL_VERSION:
+            if record["v"] != JOURNAL_VERSION:
                 raise ReproError(
-                    f"journal {self.path} has version {version!r} records; "
-                    f"this build reads version {JOURNAL_VERSION}"
+                    f"journal {self.path} has version {record['v']!r} "
+                    f"records; this build reads version {JOURNAL_VERSION}"
                 )
+            key, value = record["key"], record["value"]
             if not isinstance(key, dict) or not isinstance(value, dict):
                 self.corrupt_lines += 1
                 continue

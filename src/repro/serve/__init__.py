@@ -50,7 +50,6 @@ from repro.serve.http import (
 )
 from repro.serve.protocol import (
     ENVELOPE_VERSION,
-    VALID_NOTIONS,
     AnonymizeRequest,
     build_body,
     error_envelope,
@@ -82,7 +81,6 @@ __all__ = [
     "SERVE_SITES",
     "ServiceConfig",
     "ServiceHTTPServer",
-    "VALID_NOTIONS",
     "build_body",
     "cache_key",
     "canonical_body",

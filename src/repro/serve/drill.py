@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.obs import default_objectives
+from repro.obs import KNOWN_SITES, default_objectives
 from repro.obs.windows import WindowedRegistry
 from repro.runtime.faults import FaultPlan, fault_scope
 from repro.runtime.journal import Journal
@@ -45,13 +45,7 @@ from repro.serve.protocol import request_mix
 from repro.serve.service import AnonymizationService, ServiceConfig
 
 #: Every fault site the serving layer registers.
-SERVE_SITES = (
-    "serve.accept",
-    "serve.enqueue",
-    "serve.execute",
-    "serve.cache.load",
-    "serve.cache.store",
-)
+SERVE_SITES = tuple(sorted(s for s in KNOWN_SITES if s.startswith("serve.")))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.core.notions import NOTIONS, normalize_notion
 from repro.errors import (
     AnonymityError,
     DatasetError,
@@ -34,11 +35,6 @@ from repro.tabular.table import Table
 
 #: Envelope schema version (bump on breaking layout changes).
 ENVELOPE_VERSION = 1
-
-#: Anonymity notions a request may ask for (normalized spellings).
-VALID_NOTIONS = ("k", "k1", "1k", "kk", "global-1k")
-
-_NOTION_ALIASES = {"g1k": "global-1k", "global": "global-1k"}
 
 _REQUEST_FIELDS = frozenset(
     {"dataset", "n", "seed", "k", "notion", "measure", "timeout"}
@@ -93,11 +89,13 @@ class AnonymizeRequest:
         notion = payload.get("notion", "kk")
         if not isinstance(notion, str):
             raise RequestError(f"notion must be a string, got {notion!r}")
-        notion = _NOTION_ALIASES.get(notion.lower(), notion.lower())
-        if notion not in VALID_NOTIONS:
+        try:
+            notion = normalize_notion(notion)
+        except AnonymityError:
             raise RequestError(
-                f"unknown notion {notion!r}; expected one of {list(VALID_NOTIONS)}"
-            )
+                f"unknown notion {notion.lower()!r}; "
+                f"expected one of {list(NOTIONS)}"
+            ) from None
         measure = payload.get("measure", "entropy")
         if not isinstance(measure, str):
             raise RequestError(f"measure must be a string, got {measure!r}")

@@ -196,7 +196,6 @@ class ServiceConfig:
     slo_advisory: bool = False  #: let SLO breaches tighten gate/breaker
     window_bucket_seconds: float = 1.0  #: window resolution
     window_horizon_seconds: float = 300.0  #: how far back windows reach
-    flight_capacity: int = 256  #: flight-recorder ring size
     flight_journal: str | None = None  #: breach dumps land here (atomic)
     objectives: tuple[SLObjective, ...] = field(
         default_factory=default_objectives
@@ -276,9 +275,7 @@ class AnonymizationService:
         self.flight: FlightRecorder | None = None
         self.slo: SLOMonitor | None = None
         if self.config.live_telemetry:
-            self.flight = FlightRecorder(
-                self.config.flight_capacity, clock=clock
-            )
+            self.flight = FlightRecorder(clock=clock)
             if isinstance(self.registry, WindowedRegistry):
                 self.slo = SLOMonitor(self.config.objectives, self.registry)
         self.flight_dumps = 0  #: breach-edge dumps written so far

@@ -35,6 +35,27 @@ from repro.tabular.table import GeneralizedTable, Table
 _BLOCK_CELLS = 1 << 18
 
 
+def unique_rows(matrix: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(first, inverse, counts)`` of an integer matrix's distinct rows:
+    distinct row ``d`` is ``matrix[first[d]]`` and occurs ``counts[d]``
+    times; ``matrix[i]`` is distinct row ``inverse[i]``.
+
+    Rows are viewed as big-endian void values and sorted as byte
+    strings: for non-negative entries exactly ``np.unique(axis=0)``'s
+    order, without its field-by-field compares.
+    """
+    matrix = np.asarray(matrix)
+    big = np.ascontiguousarray(matrix, dtype=matrix.dtype.newbyteorder(">"))
+    rows = big.view(np.dtype((np.void, big.dtype.itemsize * big.shape[1])))
+    _, first, inverse, counts = np.unique(
+        rows.reshape(len(big)),
+        return_index=True,
+        return_inverse=True,
+        return_counts=True,
+    )
+    return first, inverse, counts
+
+
 class EncodedAttribute:
     """Precomputed lookup tables for one attribute's subset collection."""
 
@@ -145,10 +166,8 @@ class EncodedTable:
         self.singleton_nodes = np.empty_like(codes)
         for j, att in enumerate(self.attrs):
             self.singleton_nodes[:, j] = att.singleton[codes[:, j]]
-        uniq, inverse, counts = np.unique(
-            codes, axis=0, return_inverse=True, return_counts=True
-        )
-        self.unique_codes = uniq.astype(np.int32)
+        first, inverse, counts = unique_rows(codes)
+        self.unique_codes = codes[first].astype(np.int32)
         self.unique_inverse = inverse.astype(np.int64)
         self.unique_counts = counts.astype(np.int64)
         self.unique_singleton_nodes = np.empty_like(self.unique_codes)

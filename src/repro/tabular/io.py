@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Sequence, TextIO
 
 from repro.errors import SchemaError
+from repro.obs.durable import read_json, replace_text
 from repro.tabular.attribute import Attribute
 from repro.tabular.hierarchy import SubsetCollection
 from repro.tabular.record import GeneralizedRecord
@@ -62,13 +63,13 @@ def schema_from_dict(data: dict) -> Schema:
 
 
 def write_schema_json(schema: Schema, path: str | Path) -> None:
-    """Write a schema to a JSON file."""
-    Path(path).write_text(json.dumps(schema_to_dict(schema), indent=2))
+    """Write a schema to a JSON file (atomically)."""
+    replace_text(path, json.dumps(schema_to_dict(schema), indent=2))
 
 
 def read_schema_json(path: str | Path) -> Schema:
-    """Read a schema from a JSON file."""
-    return schema_from_dict(json.loads(Path(path).read_text()))
+    """Read a schema from a JSON file (``ReproError`` if unreadable)."""
+    return schema_from_dict(read_json(path))
 
 
 # ---------------------------------------------------------------------- #

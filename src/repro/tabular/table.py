@@ -197,6 +197,20 @@ class Table:
         j = self._schema.attribute_index(name)
         return tuple(row[j] for row in self._rows)
 
+    def private_column(self, name: str | None = None) -> tuple[str, ...]:
+        """All values of one private column (default: the first); a
+        missing column is a :class:`~repro.errors.SchemaError`."""
+        private = self._schema.private_attributes
+        if not private:
+            raise SchemaError("the schema declares no private attribute")
+        name = name or private[0]
+        if name not in private:
+            raise SchemaError(
+                f"no private attribute named {name!r} (have {private})"
+            )
+        j = private.index(name)
+        return tuple(row[j] for row in self._private_rows)
+
     def subset(self, indices: Sequence[int]) -> "Table":
         """A new table holding the selected records (in the given order).
 

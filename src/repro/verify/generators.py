@@ -21,16 +21,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.core.notions import NOTIONS
 from repro.measures.base import CostModel
 from repro.measures.registry import get_measure
 from repro.tabular.attribute import Attribute, integer_attribute
 from repro.tabular.encoding import EncodedTable
 from repro.tabular.hierarchy import IntervalCollection, SubsetCollection
 from repro.tabular.table import Schema, Table
-
-#: Notions an instance may target (the differential runner checks all of
-#: them anyway; the drawn notion selects the end-to-end API call).
-INSTANCE_NOTIONS = ("k", "1k", "k1", "kk", "global-1k")
 
 #: Measures an instance may draw.  ``tree`` is only drawn for fully
 #: laminar schemas (it is undefined otherwise).
@@ -208,7 +205,7 @@ def random_instance(
     config = InstanceConfig(
         seed=seed,
         k=k,
-        notion=str(rng.choice(INSTANCE_NOTIONS)),
+        notion=str(rng.choice(NOTIONS)),
         measure=str(rng.choice(measures)),
         distance=str(rng.choice(INSTANCE_DISTANCES)),
         expander=str(rng.choice(("expansion", "nearest"))),

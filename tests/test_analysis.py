@@ -83,7 +83,7 @@ def test_fixture_findings_point_at_the_right_files(fixture_report):
     assert [f.path for f in by_rule["REP014"]] == [
         "experiments/bad_thread.py"
     ] * 4
-    assert [f.path for f in by_rule["REP015"]] == [
+    assert [f.path for f in by_rule["REP015"]] == ["core/bad_site.py"] + [
         "obs/bad_metric_name.py"
     ] * 4
     assert [f.path for f in by_rule["LAY001"]] == ["tabular/bad_layer.py"]
@@ -132,9 +132,11 @@ def test_fixture_line_numbers(fixture_report):
     )
     assert thread_lines == [10, 12, 13, 14]
     name_lines = sorted(
-        f.line for f in fixture_report.findings if f.rule == "REP015"
+        f.line for f in fixture_report.findings
+        if f.rule == "REP015" and f.path == "obs/bad_metric_name.py"
     )
     assert name_lines == [9, 10, 11, 15]
+    assert located[("REP015", "core/bad_site.py")] == 11
 
 
 def test_semantic_negatives_stay_quiet(fixture_report):
@@ -148,6 +150,8 @@ def test_semantic_negatives_stay_quiet(fixture_report):
     # registered literal, registered span, registered dynamic prefix
     assert ("obs/bad_metric_name.py", 18) not in flagged
     assert ("obs/bad_metric_name.py", 19) not in flagged
+    # registered checkpoint site
+    assert ("core/bad_site.py", 13) not in flagged
 
 
 def test_suppressed_violation_is_counted_not_reported(fixture_report):

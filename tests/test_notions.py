@@ -22,6 +22,7 @@ from repro.core.relations import (
     nodes_from_value_lists,
     proposition_45_example,
 )
+from repro.errors import AnonymityError
 from repro.tabular.encoding import EncodedTable
 
 
@@ -120,7 +121,7 @@ class TestSatisfies:
             assert satisfies(enc, full, notion, n)
 
     def test_unknown_notion(self, small_encoded):
-        with pytest.raises(ValueError, match="unknown anonymity notion"):
+        with pytest.raises(AnonymityError, match="unknown anonymity notion"):
             satisfies(
                 small_encoded, small_encoded.singleton_nodes, "zz", 2
             )

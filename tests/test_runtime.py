@@ -27,8 +27,8 @@ from repro.errors import (
 )
 from repro.experiments.configs import ExperimentConfig
 from repro.experiments.runner import ExperimentRunner, RunKey, RunOutcome
+from repro.obs import KNOWN_SITES
 from repro.runtime import (
-    KNOWN_SITES,
     Budget,
     CancelToken,
     Deadline,

@@ -17,6 +17,7 @@ import urllib.request
 
 import pytest
 
+from repro.core.notions import NOTIONS
 from repro.datasets.registry import dataset_names
 from repro.datasets.registry import load as load_dataset
 from repro.errors import RequestError, ReproError, ServiceOverloaded
@@ -31,7 +32,6 @@ from repro.runtime.fallback import DEFAULT_CHAIN, Rung, run_with_fallback
 from repro.runtime.retry import RetryPolicy
 from repro.serve import service as service_module
 from repro.serve import (
-    VALID_NOTIONS,
     AdmissionGate,
     AnonymizationService,
     AnonymizeRequest,
@@ -744,7 +744,7 @@ class TestTableMemo:
         table = load_dataset(dataset, n=150, seed=1)
         shared = EncodedTable(table)
         before = snapshot_inputs(shared)
-        for notion in VALID_NOTIONS:
+        for notion in NOTIONS:
             chain = chain_for(notion)
             for measure in ("lm", "entropy"):
                 request = AnonymizeRequest(
@@ -770,7 +770,7 @@ class TestTableMemo:
         enc = EncodedTable(table)
         request = AnonymizeRequest(k=3, dataset=dataset, n=40, seed=2)
         suppress = (Rung("suppress", algorithm="suppress"),)
-        for chain in [chain_for(notion) for notion in VALID_NOTIONS] + [suppress]:
+        for chain in [chain_for(notion) for notion in NOTIONS] + [suppress]:
             outcome = run_with_fallback(table, 3, chain=chain, encoded=enc)
             result = outcome.require()
             body = build_body(

@@ -7,20 +7,22 @@ layering violations, fork-unsafe state, uncancellable loops — by
 inspecting the *code* with the stdlib ``ast`` module.  No third-party
 dependency is required.
 
-* :mod:`repro.analysis.rules` — the token/pattern rule catalogue
-  (REP001–REP009, REP014, REP015), each one an AST visitor or a
-  whole-tree check;
+* :mod:`repro.analysis.rules` — the per-module index every check reads
+  (:class:`~repro.analysis.rules.ModuleContext`: dotted path, import
+  table, function table) and the token/pattern rules (REP001–REP009,
+  REP014, REP015), each one an AST visitor or a whole-tree check;
 * :mod:`repro.analysis.flow` — per-function control-flow graphs with
-  def/use dataflow facts (loop coverage, module-state writes);
+  dataflow facts (loop coverage, module-state writes);
 * :mod:`repro.analysis.callgraph` — the project-wide call graph with
   import/re-export resolution, entry-point discovery and reachability;
-* :mod:`repro.analysis.semantic` — the semantic rule catalogue
-  (REP010–REP013) built on the CFG and call graph;
+* :mod:`repro.analysis.semantic` — the semantic rules (REP010–REP013)
+  built on the CFG and call graph;
 * :mod:`repro.analysis.layers` — the import-layering checker enforcing
   the architecture DAG (LAY001/LAY002);
-* :mod:`repro.analysis.engine` — file discovery, inline suppressions
-  (``# repro: allow[REP00N] reason``), the committed-baseline ratchet,
-  and the text/JSON/GitHub reporters behind ``repro-anon lint``.
+* :mod:`repro.analysis.engine` — the rule catalogue, file discovery,
+  inline suppressions (``# repro: allow[REP00N] reason``), the
+  committed-baseline ratchet, and the text/JSON/GitHub reporters behind
+  ``repro-anon lint``.
 
 Quick use::
 
@@ -44,7 +46,7 @@ from repro.analysis.engine import (
     rule_ids,
     run_lint,
 )
-from repro.analysis.flow import FunctionFlow, function_flows
+from repro.analysis.flow import FunctionFlow
 from repro.analysis.layers import (
     DEFAULT_LAYERS,
     LayerChecker,
@@ -67,5 +69,4 @@ __all__ = [
     "build_tree_callgraph",
     "checkpoint_reaching",
     "FunctionFlow",
-    "function_flows",
 ]

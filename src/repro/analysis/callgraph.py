@@ -51,8 +51,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from repro.analysis.layers import DEFAULT_LAYERS, resolve_layer
-from repro.analysis.rules import ModuleContext
+from repro.analysis.layers import resolve_layer
+from repro.analysis.rules import FunctionInfo, ModuleContext, _dotted, in_package
 
 #: JSON schema version of the ``--callgraph`` artifact.
 CALLGRAPH_SCHEMA_VERSION = 1
@@ -72,30 +72,11 @@ class GraphNode:
 class _Scope:
     """Lexical information for one module during construction."""
 
-    module: str  #: dotted module path ("" for the scan-root __init__)
     ctx: ModuleContext
-    aliases: dict[str, str] = field(default_factory=dict)  #: local -> dotted
+    aliases: dict[str, str]  #: local -> in-package dotted, or ``!external``
     top_defs: dict[str, str] = field(default_factory=dict)  #: name -> qualname
     classes: dict[str, dict[str, str]] = field(default_factory=dict)
     bases: dict[str, list[str]] = field(default_factory=dict)
-
-
-def _module_dotted(ctx: ModuleContext) -> str:
-    parts = ctx.rel[: -len(".py")].split("/")
-    if parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join(parts)
-
-
-def _dotted_expr(node: ast.expr) -> str | None:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 class CallGraph:
@@ -153,14 +134,12 @@ class CallGraph:
 
     # -- serialization --------------------------------------------------- #
 
-    def to_json(
-        self, layers: Mapping[str, int] = DEFAULT_LAYERS
-    ) -> dict[str, object]:
+    def to_json(self) -> dict[str, object]:
         """Schema-versioned, fully sorted document (deterministic)."""
         rendered_nodes = []
         for qualname in sorted(self.nodes):
             node = self.nodes[qualname]
-            layer = resolve_layer(qualname, layers)
+            layer = resolve_layer(qualname)
             rendered_nodes.append(
                 {
                     "qualname": node.qualname,
@@ -186,9 +165,9 @@ class CallGraph:
             "external": sorted(self.external),
         }
 
-    def to_json_text(self, layers: Mapping[str, int] = DEFAULT_LAYERS) -> str:
+    def to_json_text(self) -> str:
         """The exact bytes ``--callgraph`` writes (sorted keys, LF end)."""
-        return json.dumps(self.to_json(layers), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
 
 
 class _Builder:
@@ -206,37 +185,24 @@ class _Builder:
 
     def collect(self) -> None:
         for ctx in self.modules:
-            module = _module_dotted(ctx)
-            scope = _Scope(module=module, ctx=ctx)
+            module = ctx.module
+            scope = _Scope(ctx, self._aliases(ctx))
             self.scopes[module] = scope
             self.module_names.add(module)
-            prefix = f"{module}." if module else ""
             for stmt in ctx.tree.body:
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    qualname = prefix + stmt.name
-                    scope.top_defs[stmt.name] = qualname
-                    self._add_node(qualname, ctx, stmt.lineno, "function")
-                elif isinstance(stmt, ast.ClassDef):
-                    methods: dict[str, str] = {}
-                    for item in stmt.body:
-                        if isinstance(
-                            item, (ast.FunctionDef, ast.AsyncFunctionDef)
-                        ):
-                            qualname = f"{prefix}{stmt.name}.{item.name}"
-                            methods[item.name] = qualname
-                            self._add_node(
-                                qualname, ctx, item.lineno, "method"
-                            )
-                    scope.classes[stmt.name] = methods
+                if isinstance(stmt, ast.ClassDef):
+                    scope.classes[stmt.name] = {}
                     scope.bases[stmt.name] = [
                         base
-                        for base in (
-                            _dotted_expr(b)
-                            for b in stmt.bases
-                        )
+                        for base in (_dotted(b) for b in stmt.bases)
                         if base is not None
                     ]
-            self._collect_imports(scope)
+            for fn in ctx.functions:
+                if fn.class_name is None:
+                    scope.top_defs[fn.node.name] = fn.qualname
+                else:
+                    scope.classes[fn.class_name][fn.node.name] = fn.qualname
+                self._add_node(ctx, fn)
             self.exports[module] = dict(scope.aliases)
             self.exports[module].update(scope.top_defs)
             for cls in scope.classes:
@@ -244,67 +210,21 @@ class _Builder:
                     f"{module}.{cls}" if module else cls
                 )
 
-    def _add_node(
-        self, qualname: str, ctx: ModuleContext, line: int, kind: str
-    ) -> None:
+    def _add_node(self, ctx: ModuleContext, fn: FunctionInfo) -> None:
+        kind = "function" if fn.class_name is None else "method"
         self.graph.nodes.setdefault(
-            qualname, GraphNode(qualname, ctx.rel, line, kind)
+            fn.qualname, GraphNode(fn.qualname, ctx.rel, fn.node.lineno, kind)
         )
-        self.graph.edges.setdefault(qualname, set())
+        self.graph.edges.setdefault(fn.qualname, set())
 
-    def _collect_imports(self, scope: _Scope) -> None:
+    def _aliases(self, ctx: ModuleContext) -> dict[str, str]:
         """Local name -> dotted *in-package* object path (or external)."""
-        package_prefix = self.package + "."
-        for node in ast.walk(scope.ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    target = alias.name
-                    local = alias.asname or target.split(".")[0]
-                    if target.startswith(package_prefix):
-                        scope.aliases[local] = target[len(package_prefix):]
-                    elif target == self.package:
-                        scope.aliases[local] = ""
-                    else:
-                        scope.aliases[local] = f"!{target}"
-            elif isinstance(node, ast.ImportFrom):
-                base = self._import_base(scope, node)
-                if base is None:
-                    continue
-                for alias in node.names:
-                    local = alias.asname or alias.name
-                    if base.startswith("!"):
-                        scope.aliases[local] = f"{base}.{alias.name}"
-                    else:
-                        scope.aliases[local] = (
-                            f"{base}.{alias.name}" if base else alias.name
-                        )
-
-    def _import_base(
-        self, scope: _Scope, node: ast.ImportFrom
-    ) -> str | None:
-        """The dotted in-package base a ``from X import`` refers to.
-
-        External modules come back prefixed with ``!`` so aliases keep
-        their absolute dotted path without colliding with in-package
-        names.  ``__future__`` imports are skipped.
-        """
-        if node.level == 0:
-            module = node.module or ""
-            if module == "__future__":
-                return None
-            if module == self.package:
-                return ""
-            if module.startswith(self.package + "."):
-                return module[len(self.package) + 1:]
-            return f"!{module}"
-        parts = scope.ctx.rel[: -len(".py")].split("/")
-        if parts[-1] == "__init__":
-            parts = parts[:-1]
-        anchor = parts[: len(parts) - node.level] if parts else []
-        if node.level <= len(parts):
-            target = anchor + (node.module.split(".") if node.module else [])
-            return ".".join(target)
-        return None
+        aliases: dict[str, str] = {}
+        for imported in ctx.imports:
+            for local, target in imported.bindings:
+                inside = in_package(target, self.package)
+                aliases[local] = f"!{target}" if inside is None else inside
+        return aliases
 
     # -- resolution ------------------------------------------------------ #
 
@@ -411,7 +331,7 @@ class _Builder:
             if isinstance(node, ast.Name):
                 dotted = node.id
             elif isinstance(node, ast.Attribute):
-                dotted = _dotted_expr(node)
+                dotted = _dotted(node)
             if dotted is None:
                 continue
             resolved = self._class_from_expr(scope, dotted)
@@ -421,7 +341,7 @@ class _Builder:
 
     def _module_var_types(self, scope: _Scope) -> dict[str, tuple[_Scope, str]]:
         """Module-level names with a class-typed annotation or value."""
-        cached = self._var_type_cache.get(scope.module)
+        cached = self._var_type_cache.get(scope.ctx.module)
         if cached is not None:
             return cached
         types: dict[str, tuple[_Scope, str]] = {}
@@ -435,7 +355,7 @@ class _Builder:
             elif isinstance(stmt, ast.Assign) and isinstance(
                 stmt.value, ast.Call
             ):
-                dotted = _dotted_expr(stmt.value.func)
+                dotted = _dotted(stmt.value.func)
                 if dotted is None:
                     continue
                 resolved = self._class_from_expr(scope, dotted)
@@ -444,57 +364,33 @@ class _Builder:
                 for target in stmt.targets:
                     if isinstance(target, ast.Name):
                         types[target.id] = resolved
-        self._var_type_cache[scope.module] = types
+        self._var_type_cache[scope.ctx.module] = types
         return types
 
     # -- pass 2: call edges ---------------------------------------------- #
 
     def link(self) -> None:
         for scope in self.scopes.values():
-            prefix = f"{scope.module}." if scope.module else ""
-            for stmt in scope.ctx.tree.body:
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    self._link_function(
-                        scope, prefix + stmt.name, stmt, class_name=None
-                    )
-                elif isinstance(stmt, ast.ClassDef):
-                    for item in stmt.body:
-                        if isinstance(
-                            item, (ast.FunctionDef, ast.AsyncFunctionDef)
-                        ):
-                            self._link_function(
-                                scope,
-                                f"{prefix}{stmt.name}.{item.name}",
-                                item,
-                                class_name=stmt.name,
-                            )
+            for fn in scope.ctx.functions:
+                self._link_function(scope, fn)
 
-    def _link_function(
-        self,
-        scope: _Scope,
-        qualname: str,
-        fn: ast.FunctionDef | ast.AsyncFunctionDef,
-        class_name: str | None,
-    ) -> None:
+    def _link_function(self, scope: _Scope, fn: FunctionInfo) -> None:
         locals_: dict[str, str] = {}
-        for node in ast.walk(fn):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node is not fn:
-                    nested = f"{qualname}.{node.name}"
-                    locals_[node.name] = nested
-                    self._add_node(nested, scope.ctx, node.lineno, "function")
-        receivers = self._receiver_types(scope, fn)
-        for node in ast.walk(fn):
+        for inner in fn.nested:
+            locals_[inner.node.name] = inner.qualname
+            self._add_node(scope.ctx, inner)
+        receivers = self._receiver_types(scope, fn.node)
+        for node in ast.walk(fn.node):
             if not isinstance(node, ast.Call):
                 continue
             callee = self._resolve_call(
-                scope, node.func, class_name, locals_, receivers
+                scope, node.func, fn.class_name, locals_, receivers
             )
             if callee is None:
                 continue
             self.graph.callsites[id(node)] = callee
-            if callee != qualname:
-                self.graph.edges.setdefault(qualname, set()).add(callee)
+            if callee != fn.qualname:
+                self.graph.edges.setdefault(fn.qualname, set()).add(callee)
 
     def _receiver_types(
         self, scope: _Scope, fn: ast.FunctionDef | ast.AsyncFunctionDef
@@ -520,7 +416,7 @@ class _Builder:
             if isinstance(node, ast.Assign) and isinstance(
                 node.value, ast.Call
             ):
-                dotted = _dotted_expr(node.value.func)
+                dotted = _dotted(node.value.func)
                 if dotted is None:
                     continue
                 resolved = self._class_from_expr(scope, dotted)
@@ -582,19 +478,19 @@ class _Builder:
                 return scope.top_defs[name]
             if name in scope.classes:
                 # Constructing a project class executes its __init__.
-                prefix = f"{scope.module}." if scope.module else ""
+                prefix = f"{scope.ctx.module}." if scope.ctx.module else ""
                 init = self._method_in_class(scope, name, "__init__")
                 return init or f"{prefix}{name}"
             if name in scope.aliases:
                 return self.resolve_target(scope.aliases[name])
             return None
         if isinstance(func, ast.Attribute):
-            dotted = _dotted_expr(func)
+            dotted = _dotted(func)
             if dotted is None:
                 # `_Engine(...).run()`: a method on a freshly constructed
                 # project-class instance.
                 if isinstance(func.value, ast.Call):
-                    inner = _dotted_expr(func.value.func)
+                    inner = _dotted(func.value.func)
                     if inner is not None:
                         resolved = self._class_from_expr(scope, inner)
                         if resolved is not None:

@@ -1,9 +1,11 @@
 """The lint engine: discovery, suppressions, baseline, reporting.
 
-Execution model: parse every ``*.py`` under the scan root once, run the
-module rules file-by-file, then the project rules (registry
-completeness) and the layering checker over the whole parsed tree.
-Findings then pass through two filters:
+Execution model: parse every ``*.py`` under the scan root once (a file
+that is not UTF-8 or does not parse is a ``PARSE`` finding), build one
+:class:`~repro.analysis.semantic.SemanticIndex` over the parsed tree,
+run the module rules file-by-file, then the project rules and the
+layering checker over the whole tree.  Findings then pass through two
+filters:
 
 * **inline suppressions** — ``# repro: allow[REP002] reason`` on the
   offending line (or the line directly above it) silences the listed
@@ -27,32 +29,63 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-if TYPE_CHECKING:  # pragma: no cover — import cycle guard for typing only
-    from repro.analysis.callgraph import CallGraph
-
+from repro.analysis.callgraph import CallGraph, build_callgraph
 from repro.analysis.findings import Finding
-from repro.analysis.layers import DEFAULT_LAYERS, LAYER_RULE_DOCS, LayerChecker
-from repro.analysis.rules import ALL_RULES as BASE_RULES
-from repro.analysis.rules import RULE_DOCS as BASE_RULE_DOCS
-from repro.analysis.rules import ModuleContext, Rule
-from repro.analysis.semantic import SEMANTIC_RULE_DOCS, SEMANTIC_RULES
+from repro.analysis.layers import LAYER_RULE_DOCS, LayerChecker
+from repro.analysis.rules import (
+    CONFINED_PRIMITIVES,
+    InputMutation,
+    ModuleContext,
+    PublicApiDrift,
+    RegistryCompleteness,
+    Rule,
+    SwallowedException,
+    UnregisteredMetricName,
+    UnseededRandomness,
+    UnsortedSetIteration,
+)
+from repro.analysis.semantic import (
+    ContextVarLeak,
+    ForkSharedStateWrite,
+    SemanticIndex,
+    UncheckpointedLoop,
+    UnjournaledWrite,
+)
 from repro.errors import ReproError
-from repro.obs.durable import read_json, replace_text
+from repro.obs.durable import read_json, read_text, replace_text
 
 #: ``# repro: allow[REP001,REP004] why this is fine``
 _SUPPRESS_RE = re.compile(
     r"#\s*repro:\s*allow\[([A-Za-z0-9_,\s]+)\]\s*(.*?)\s*$"
 )
 
-#: The full rule set behind ``repro-anon lint``: the token/pattern
-#: rules (REP001–REP009, REP014, REP015) plus the CFG/call-graph
-#: semantic rules (REP010–REP013).
-ALL_RULES: tuple[Rule, ...] = (*BASE_RULES, *SEMANTIC_RULES)
+#: The rule set behind ``repro-anon lint``, in rule-id order: the
+#: token/pattern rules (REP001–REP009, REP014, REP015) plus the
+#: CFG/call-graph semantic rules (REP010–REP013).
+ALL_RULES: tuple[Rule, ...] = tuple(
+    sorted(
+        (
+            UnseededRandomness(),
+            UnsortedSetIteration(),
+            InputMutation(),
+            RegistryCompleteness(),
+            PublicApiDrift(),
+            SwallowedException(),
+            UnregisteredMetricName(),
+            *CONFINED_PRIMITIVES,
+            ForkSharedStateWrite(),
+            UncheckpointedLoop(),
+            UnjournaledWrite(),
+            ContextVarLeak(),
+        ),
+        key=lambda rule: rule.rule_id,
+    )
+)
 
-#: rule id -> one-line summary across both catalogues.
-RULE_DOCS: dict[str, str] = {**BASE_RULE_DOCS, **SEMANTIC_RULE_DOCS}
+#: rule id -> one-line summary, for ``--select`` validation and docs.
+RULE_DOCS: dict[str, str] = {rule.rule_id: rule.summary for rule in ALL_RULES}
 
 
 def rule_ids() -> list[str]:
@@ -281,7 +314,13 @@ def _parse_modules(
     errors: list[Finding] = []
     for path in files:
         rel = path.relative_to(scan_root).as_posix()
-        source = path.read_text(encoding="utf-8")
+        try:
+            source = read_text(path)
+        except ReproError as exc:
+            errors.append(
+                Finding(rel, 1, 0, "PARSE", f"file cannot be read: {exc.__cause__}")
+            )
+            continue
         try:
             tree = ast.parse(source, filename=str(path))
         except SyntaxError as exc:
@@ -322,9 +361,7 @@ def lint_tree(
     *,
     select: Iterable[str] | None = None,
     baseline: Baseline | None = None,
-    rules: Sequence[Rule] = ALL_RULES,
     check_layers: bool = True,
-    layers: Mapping[str, int] = DEFAULT_LAYERS,
 ) -> LintReport:
     """Lint one scan root (a package directory or a single file).
 
@@ -357,15 +394,15 @@ def lint_tree(
         )
     files = _discover(root)
     modules, raw_findings = _parse_modules(root, files)
+    project = SemanticIndex(modules)
 
     for ctx in modules:
-        for rule in rules:
+        for rule in ALL_RULES:
             raw_findings.extend(rule.check_module(ctx))
-    for rule in rules:
-        raw_findings.extend(rule.check_project(modules))
+    for rule in ALL_RULES:
+        raw_findings.extend(rule.check_project(project))
     if check_layers and root.is_dir():
-        checker = LayerChecker(root.name, layers)
-        raw_findings.extend(checker.check(modules))
+        raw_findings.extend(LayerChecker(root.name).check(modules))
 
     if chosen is not None:
         raw_findings = [f for f in raw_findings if f.rule in chosen]
@@ -403,15 +440,13 @@ def lint_tree(
     )
 
 
-def build_tree_callgraph(root: str | Path) -> "CallGraph":
+def build_tree_callgraph(root: str | Path) -> CallGraph:
     """Parse one package tree and build its call graph.
 
     The function behind ``repro-anon lint --callgraph``: same discovery
     and parsing as the linter, producing the deterministic artifact
     (see :meth:`repro.analysis.callgraph.CallGraph.to_json_text`).
     """
-    from repro.analysis.callgraph import build_callgraph
-
     root = Path(root)
     if not root.is_dir():
         raise ReproError(

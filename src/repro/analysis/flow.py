@@ -1,4 +1,4 @@
-"""Per-function control-flow graphs with def/use dataflow facts.
+"""Per-function control-flow graphs with dataflow facts.
 
 The token-level rules (REP001–REP009, REP014, REP015) ask *syntactic*
 questions — "is this call spelled ``time.time``?".  The semantic rules (REP010–REP013)
@@ -15,9 +15,9 @@ per function:
   block, the set of body blocks, whether it is *outermost* in its
   function, and whether its iterable is *provably bounded* (a literal
   collection or a constant ``range``);
-* :class:`FunctionFlow` — the CFG plus dataflow facts: per-block def
-  and use sets, declared-``global`` writes, and mutations of names the
-  function never binds locally (the module-state writes REP010 polices).
+* :class:`FunctionFlow` — the CFG plus dataflow facts: local bindings,
+  declared-``global`` writes, and mutations of names the function never
+  binds locally (the module-state writes REP010 polices).
 
 The headline query is :meth:`FunctionFlow.loop_can_skip`: given a loop
 and a statement predicate (e.g. "calls ``checkpoint``"), it answers
@@ -67,26 +67,6 @@ class BasicBlock:
     index: int
     statements: list[ast.stmt] = field(default_factory=list)
     successors: set[int] = field(default_factory=set)
-
-    @property
-    def defs(self) -> set[str]:
-        """Names this block binds (assignment/for/with/import targets)."""
-        out: set[str] = set()
-        for stmt in self.statements:
-            out |= _stmt_bindings(stmt)
-        return out
-
-    @property
-    def uses(self) -> set[str]:
-        """Names this block reads (loaded ``Name`` nodes, own scope only)."""
-        out: set[str] = set()
-        for stmt in self.statements:
-            for node in _walk_own_scope(stmt):
-                if isinstance(node, ast.Name) and isinstance(
-                    node.ctx, ast.Load
-                ):
-                    out.add(node.id)
-        return out
 
 
 @dataclass
@@ -169,7 +149,7 @@ def surface_walk(stmt: ast.stmt) -> Iterator[ast.AST]:
     yield from ast.walk(stmt)
 
 
-def _walk_own_scope(node: ast.AST) -> Iterator[ast.AST]:
+def walk_own_scope(node: ast.AST) -> Iterator[ast.AST]:
     """``ast.walk`` that does not descend into nested def/class/lambda."""
     stack: list[ast.AST] = [node]
     while stack:
@@ -202,7 +182,7 @@ def _target_names(target: ast.expr) -> set[str]:
 def _stmt_bindings(stmt: ast.stmt) -> set[str]:
     """Names bound by one statement (without entering nested scopes)."""
     out: set[str] = set()
-    for node in _walk_own_scope(stmt):
+    for node in walk_own_scope(stmt):
         if isinstance(node, ast.Assign):
             for target in node.targets:
                 out |= _target_names(target)
@@ -433,7 +413,7 @@ class FunctionFlow:
         """Names declared ``global`` anywhere in the function."""
         if self._globals is None:
             names: set[str] = set()
-            for node in _walk_own_scope(self.fn):
+            for node in walk_own_scope(self.fn):
                 if isinstance(node, ast.Global):
                     names.update(node.names)
             self._globals = frozenset(names)
@@ -480,7 +460,7 @@ class FunctionFlow:
                 return name
             return None
 
-        for node in _walk_own_scope(self.fn):
+        for node in walk_own_scope(self.fn):
             if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                 targets = (
                     node.targets
@@ -572,7 +552,7 @@ class FunctionFlow:
         if name in param_names or name in self.declared_globals:
             return False
         values: list[ast.expr] = []
-        for node in _walk_own_scope(self.fn):
+        for node in walk_own_scope(self.fn):
             if isinstance(node, ast.Assign):
                 for target in node.targets:
                     if name not in _target_names(target):
@@ -647,10 +627,3 @@ class FunctionFlow:
                     frontier.append(successor)
         # Every body path back to the header crosses a hit block.
         return False
-
-
-def function_flows(tree: ast.Module) -> Iterator[tuple[FunctionNode, FunctionFlow]]:
-    """Yield ``(def node, FunctionFlow)`` for every function in a module."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node, FunctionFlow(node)

@@ -41,11 +41,10 @@ deliberately when a subpackage is added).
 
 from __future__ import annotations
 
-import ast
 from typing import Iterator, Mapping, Sequence
 
 from repro.analysis.findings import Finding
-from repro.analysis.rules import ModuleContext
+from repro.analysis.rules import ModuleContext, in_package
 
 #: Subpackage/top-level-module name -> layer index.  Lower imports into
 #: higher only.
@@ -77,15 +76,13 @@ DEFAULT_LAYERS: Mapping[str, int] = {
 #: Scan-root modules outside the layer discipline.
 _EXEMPT_SEGMENTS = frozenset({"__init__"})
 
-#: Pseudo-segment for imports of the package facade itself
-#: (``from repro import x``): it re-exports the highest layers, so it
-#: sits above everything and importing it internally is a back-edge.
-_FACADE = "__init__"
+#: The package facade (``from repro import x``) re-exports the highest
+#: layers, so it sits above everything and importing it internally is a
+#: back-edge.
+_FACADE_LAYER = max(DEFAULT_LAYERS.values()) + 1
 
 
-def resolve_layer(
-    dotted: str, layers: Mapping[str, int] = DEFAULT_LAYERS
-) -> tuple[str, int] | None:
+def resolve_layer(dotted: str) -> tuple[str, int] | None:
     """Longest dotted prefix of ``dotted`` present in the layer map.
 
     The same resolution :class:`LayerChecker` applies to imports, as a
@@ -96,8 +93,8 @@ def resolve_layer(
     parts = dotted.split(".")
     while parts:
         key = ".".join(parts)
-        if key in layers:
-            return key, layers[key]
+        if key in DEFAULT_LAYERS:
+            return key, DEFAULT_LAYERS[key]
         parts.pop()
     return None
 
@@ -105,22 +102,13 @@ def resolve_layer(
 class LayerChecker:
     """Check every intra-package import in a parsed tree against the DAG.
 
-    Parameters
-    ----------
-    package:
-        The importable package name the scan root corresponds to
-        (``repro`` when scanning ``src/repro``).  Needed to recognize
-        absolute intra-package imports.
-    layers:
-        Segment -> layer mapping; defaults to :data:`DEFAULT_LAYERS`.
+    ``package`` is the importable package name the scan root
+    corresponds to (``repro`` when scanning ``src/repro``), needed to
+    recognize absolute intra-package imports.
     """
 
-    def __init__(
-        self, package: str, layers: Mapping[str, int] = DEFAULT_LAYERS
-    ) -> None:
+    def __init__(self, package: str) -> None:
         self.package = package
-        self.layers = dict(layers)
-        self._facade_layer = max(self.layers.values(), default=0) + 1
 
     def check(self, modules: Sequence[ModuleContext]) -> Iterator[Finding]:
         """Yield LAY001/LAY002 findings over all modules."""
@@ -128,7 +116,7 @@ class LayerChecker:
             segment = ctx.segment
             if segment in _EXEMPT_SEGMENTS:
                 continue
-            resolved = self._resolve(self._module_dotted(ctx))
+            resolved = resolve_layer(ctx.module)
             if resolved is None:
                 yield Finding(
                     ctx.rel, 1, 0, "LAY002",
@@ -140,70 +128,24 @@ class LayerChecker:
 
     # ----------------------------------------------------------------- #
 
-    @staticmethod
-    def _module_dotted(ctx: ModuleContext) -> str:
-        """Dotted in-package path of a module (``runtime.fallback``)."""
-        parts = ctx.rel[: -len(".py")].split("/")
-        if parts[-1] == "__init__":
-            parts = parts[:-1]
-        return ".".join(parts)
-
-    def _resolve(self, dotted: str) -> tuple[str, int] | None:
-        """Longest dotted prefix of ``dotted`` present in the layer map."""
-        return resolve_layer(dotted, self.layers)
-
     def _check_module(
         self, ctx: ModuleContext, source_key: str, source_layer: int
     ) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    target = self._absolute_target(alias.name)
+        for imported in ctx.imports:
+            target = in_package(imported.module, self.package)
+            yield from self._judge(
+                ctx, imported.line, source_key, source_layer, target
+            )
+            if not target:  # external, or the facade: judged above
+                continue
+            # `from repro.runtime import fallback` names a carved-out
+            # submodule; judge the deeper dotted key too.
+            for _local, name in imported.bindings:
+                deeper = in_package(name, self.package)
+                if deeper != target and deeper in DEFAULT_LAYERS:
                     yield from self._judge(
-                        ctx, node.lineno, source_key, source_layer, target
+                        ctx, imported.line, source_key, source_layer, deeper
                     )
-            elif isinstance(node, ast.ImportFrom):
-                if node.level == 0:
-                    target = self._absolute_target(node.module or "")
-                else:
-                    target = self._relative_target(ctx, node)
-                yield from self._judge(
-                    ctx, node.lineno, source_key, source_layer, target
-                )
-                # `from repro.runtime import fallback` names a carved-out
-                # submodule; judge the deeper dotted key too.
-                if target is not None and target != _FACADE:
-                    for alias in node.names:
-                        deeper = f"{target}.{alias.name}"
-                        if deeper in self.layers:
-                            yield from self._judge(
-                                ctx, node.lineno,
-                                source_key, source_layer, deeper,
-                            )
-
-    def _absolute_target(self, module: str) -> str | None:
-        """In-package dotted path of an import, or None if external."""
-        if module == self.package:
-            return _FACADE
-        prefix = self.package + "."
-        if module.startswith(prefix):
-            return module[len(prefix):]
-        return None
-
-    def _relative_target(
-        self, ctx: ModuleContext, node: ast.ImportFrom
-    ) -> str | None:
-        """Dotted path a relative import resolves to, or None if unknown."""
-        mod_parts = ctx.rel[: -len(".py")].split("/")
-        if mod_parts[-1] == "__init__":
-            mod_parts = mod_parts[:-1]
-        package_parts = mod_parts[:-1] if mod_parts else []
-        anchor = package_parts[: len(package_parts) - (node.level - 1)]
-        target_parts = anchor + (node.module.split(".") if node.module else [])
-        if target_parts:
-            return ".".join(target_parts)
-        # `from . import x` inside a subpackage: same segment.
-        return ctx.segment if package_parts else None
 
     def _judge(
         self,
@@ -213,14 +155,14 @@ class LayerChecker:
         source_layer: int,
         target: str | None,
     ) -> Iterator[Finding]:
+        """Judge one import of ``target`` (in-package, ``""`` = facade)."""
         if target is None:
             return
-        if target == _FACADE:
-            target_key = _FACADE
-            target_layer = self._facade_layer
+        if target == "":
+            target_key, target_layer = "", _FACADE_LAYER
             target_label = f"the {self.package} package facade"
         else:
-            resolved = self._resolve(target)
+            resolved = resolve_layer(target)
             if resolved is None:
                 yield Finding(
                     ctx.rel, line, 0, "LAY002",

@@ -1,4 +1,4 @@
-"""The project-specific rule catalogue (REP001–REP009, REP014, REP015).
+"""The token rules (REP001–REP009, REP014, REP015) and the per-module index.
 
 Every rule inspects the stdlib ``ast`` of the scanned tree; none of
 them import or execute the code under analysis, so the linter is safe
@@ -14,6 +14,13 @@ Rule scoping is by top-level subpackage of the scan root: the
 determinism rules (REP001/REP004) only police algorithm code under
 ``core/`` and ``verify/``, because a CLI module printing the wall-clock
 time is fine while an anonymizer reading it is a reproducibility bug.
+
+Each parsed file is one :class:`ModuleContext`, whose index — dotted
+module path, import table, function table — is worked out once, on
+first use, and read by every rule, the call graph
+(:mod:`repro.analysis.callgraph`), the layer checker
+(:mod:`repro.analysis.layers`) and the semantic index
+(:mod:`repro.analysis.semantic`).
 """
 
 from __future__ import annotations
@@ -21,10 +28,44 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.analysis.findings import Finding
+from repro.analysis.flow import FunctionNode
+
+if TYPE_CHECKING:  # pragma: no cover — semantic imports this module
+    from repro.analysis.semantic import SemanticIndex
+
+
+@dataclass(frozen=True)
+class ImportedModule:
+    """One module an import statement names, with what it binds.
+
+    ``import a.b, c as d`` names two modules, ``from .m import x, y``
+    one (relative imports resolved against the importing file's
+    package).  ``bindings`` pairs each local name with the absolute
+    dotted path it is bound to, as Python binds it: ``import a.b``
+    binds ``a`` to ``a``, ``import a.b as x`` binds ``x`` to ``a.b``,
+    and ``from a import b as y`` binds ``y`` to ``a.b``.
+    """
+
+    line: int
+    module: str  #: absolute dotted module path
+    bindings: tuple[tuple[str, str], ...]
+
+
+@dataclass(frozen=True)
+class FunctionInfo:
+    """A top-level function or method, named as the call graph names it."""
+
+    qualname: str  #: ``core.kk.kk_anonymize``, ``runtime.Timer.start``
+    node: FunctionNode
+    class_name: str | None = None  #: the class a method is defined in
+    #: The defs nested inside, at any depth, in ``ast.walk`` order and
+    #: named ``<qualname>.<name>`` (a doubly nested def too).
+    nested: tuple[FunctionInfo, ...] = ()
 
 
 @dataclass
@@ -43,6 +84,120 @@ class ModuleContext:
         parts = self.rel.split("/")
         return parts[0] if len(parts) > 1 else Path(parts[0]).stem
 
+    @property
+    def package(self) -> str:
+        """The importable name of the scan root (``repro``)."""
+        return self.root.name
+
+    @cached_property
+    def module(self) -> str:
+        """Dotted in-package path (``runtime.fallback``; ``""`` for the
+        scan root's ``__init__``)."""
+        parts = self.rel[: -len(".py")].split("/")
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        return ".".join(parts)
+
+    @cached_property
+    def imports(self) -> tuple[ImportedModule, ...]:
+        """Every import in the file, in ``ast.walk`` order.
+
+        ``__future__`` imports, and relative imports climbing above the
+        scan root, are left out.
+        """
+        table: list[ImportedModule] = []
+        for node in ast.walk(self.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    local = alias.asname or alias.name.split(".")[0]
+                    target = alias.name if alias.asname else local
+                    table.append(
+                        ImportedModule(node.lineno, alias.name, ((local, target),))
+                    )
+            elif isinstance(node, ast.ImportFrom):
+                base = self._from_base(node)
+                if base is None or base == "__future__":
+                    continue
+                table.append(
+                    ImportedModule(
+                        node.lineno,
+                        base,
+                        tuple(
+                            (alias.asname or alias.name, f"{base}.{alias.name}")
+                            for alias in node.names
+                        ),
+                    )
+                )
+        return tuple(table)
+
+    def _from_base(self, node: ast.ImportFrom) -> str | None:
+        """The absolute module a ``from`` import reads from."""
+        if node.level == 0:
+            return node.module or ""
+        # A package's __init__ is its own anchor; a plain module's is
+        # the package holding it.
+        package = [self.package, *filter(None, self.module.split("."))]
+        if self.rel.split("/")[-1] != "__init__.py":
+            package.pop()
+        if node.level > len(package):
+            return None
+        anchor = package[: len(package) - node.level + 1]
+        return ".".join([*anchor, *([node.module] if node.module else [])])
+
+    def aliases(self, *modules: str) -> dict[str, str]:
+        """Local name -> absolute dotted path, for names imported from
+        ``modules`` or their submodules.
+
+        Queried in order; within one query the later binding in
+        ``ast.walk`` order wins.
+        """
+        found: dict[str, str] = {}
+        for module in modules:
+            for imported in self.imports:
+                if imported.module == module or imported.module.startswith(
+                    module + "."
+                ):
+                    found.update(imported.bindings)
+        return found
+
+    @cached_property
+    def functions(self) -> tuple[FunctionInfo, ...]:
+        """Top-level functions and methods, in source order."""
+        prefix = f"{self.module}." if self.module else ""
+
+        def info(
+            qualname: str, fn: FunctionNode, class_name: str | None = None
+        ) -> FunctionInfo:
+            nested = tuple(
+                FunctionInfo(f"{qualname}.{node.name}", node)
+                for node in ast.walk(fn)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node is not fn
+            )
+            return FunctionInfo(qualname, fn, class_name, nested)
+
+        table: list[FunctionInfo] = []
+        for stmt in self.tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                table.append(info(prefix + stmt.name, stmt))
+            elif isinstance(stmt, ast.ClassDef):
+                for item in stmt.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        table.append(
+                            info(f"{prefix}{stmt.name}.{item.name}", item, stmt.name)
+                        )
+        return tuple(table)
+
+
+def in_package(dotted: str, package: str) -> str | None:
+    """``dotted`` relative to ``package``: ``""`` for the package itself,
+    None outside it."""
+    if dotted == package:
+        return ""
+    if dotted.startswith(package + "."):
+        return dotted[len(package) + 1:]
+    return None
+
 
 class Rule:
     """Base class: a rule has an id, a summary, and one or both hooks."""
@@ -59,9 +214,7 @@ class Rule:
         """Yield findings for one file (default: none)."""
         return iter(())
 
-    def check_project(
-        self, modules: Sequence[ModuleContext]
-    ) -> Iterator[Finding]:
+    def check_project(self, project: SemanticIndex) -> Iterator[Finding]:
         """Yield findings needing the whole tree (default: none)."""
         return iter(())
 
@@ -92,39 +245,14 @@ def _dotted(node: ast.expr) -> str | None:
     return None
 
 
-def _module_aliases(tree: ast.Module, module: str) -> dict[str, str]:
-    """Names under which ``module`` (e.g. ``numpy``) is visible.
-
-    Returns a mapping of local name -> dotted module path, covering
-    ``import numpy``, ``import numpy as np``, ``import numpy.random``
-    and ``from numpy import random [as r]``.
-    """
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                name = alias.name
-                if name == module or name.startswith(module + "."):
-                    local = alias.asname or name.split(".")[0]
-                    aliases[local] = name if alias.asname else module
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            base = node.module or ""
-            if base == module or base.startswith(module + "."):
-                for alias in node.names:
-                    aliases[alias.asname or alias.name] = (
-                        f"{base}.{alias.name}"
-                    )
-    return aliases
-
-
-def _resolve_dotted(tree_aliases: dict[str, str], node: ast.expr) -> str | None:
+def _resolve_dotted(aliases: dict[str, str], node: ast.expr) -> str | None:
     """Dotted path of ``node`` with the leading alias canonicalized."""
     dotted = _dotted(node)
     if dotted is None:
         return None
     head, _, rest = dotted.partition(".")
-    if head in tree_aliases:
-        canonical = tree_aliases[head]
+    if head in aliases:
+        canonical = aliases[head]
         return canonical + ("." + rest if rest else "")
     return dotted
 
@@ -167,8 +295,7 @@ class UnseededRandomness(Rule):
     def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
         if ctx.segment not in self.segments:
             return
-        aliases = _module_aliases(ctx.tree, "random")
-        aliases.update(_module_aliases(ctx.tree, "numpy"))
+        aliases = ctx.aliases("random", "numpy")
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -409,9 +536,8 @@ class RegistryCompleteness(Rule):
     rule_id = "REP005"
     summary = "algorithm/measure registry completeness"
 
-    def check_project(
-        self, modules: Sequence[ModuleContext]
-    ) -> Iterator[Finding]:
+    def check_project(self, project: SemanticIndex) -> Iterator[Finding]:
+        modules = project.modules
         differential = next(
             (m for m in modules if m.rel == "verify/differential.py"), None
         )
@@ -813,9 +939,7 @@ class ConfinedPrimitive(Rule):
     def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
         if not self.polices(ctx.segment):
             return
-        aliases: dict[str, str] = {}
-        for module in self._modules:
-            aliases.update(_module_aliases(ctx.tree, module))
+        aliases = ctx.aliases(*self._modules)
         owner = self.defers_to
         if owner is not None and not owner.polices(ctx.segment):
             owner = None
@@ -1012,8 +1136,7 @@ class UnregisteredMetricName(Rule):
             is_registered_span,
         )
 
-        aliases = _module_aliases(ctx.tree, "repro.obs")
-        aliases.update(_module_aliases(ctx.tree, "repro.runtime"))
+        aliases = ctx.aliases("repro.obs", "repro.runtime")
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call) or not node.args:
                 continue
@@ -1081,29 +1204,3 @@ class UnregisteredMetricName(Rule):
                         "repro.obs.names; add it to the registry so its "
                         "readers (dashboards, SLOs, fault plans) agree",
                     )
-
-
-#: Every module/project rule, in rule-id order.
-ALL_RULES: tuple[Rule, ...] = tuple(
-    sorted(
-        (
-            UnseededRandomness(),
-            UnsortedSetIteration(),
-            InputMutation(),
-            RegistryCompleteness(),
-            PublicApiDrift(),
-            SwallowedException(),
-            UnregisteredMetricName(),
-            *CONFINED_PRIMITIVES,
-        ),
-        key=lambda rule: rule.rule_id,
-    )
-)
-
-#: rule id -> one-line summary, for ``--select`` validation and docs.
-RULE_DOCS: dict[str, str] = {rule.rule_id: rule.summary for rule in ALL_RULES}
-
-
-def rule_ids() -> list[str]:
-    """All module/project rule ids, sorted."""
-    return sorted(RULE_DOCS)

@@ -31,14 +31,15 @@ call spelled ``time.time``?"), these four ask *path* questions over the
   but never ``reset`` inside a ``finally`` block, so an exceptional
   path leaks the context value into the caller's scope.
 
-All four run as *project* rules: they see the whole parsed tree, build
-one shared :class:`SemanticIndex` (call graph + lazily-built per-
-function CFGs, memoized across the rules of one lint run), and resolve
-reachability from the same entry points the runtime actually uses —
-the registered algorithms, the process-pool workers, the experiment
-cell drivers.  Findings flow through the ordinary engine machinery, so
-``--select``, inline ``# repro: allow[...]`` suppressions and the
-baseline ratchet all apply unchanged.
+REP010 and REP011 run as *project* rules over the one
+:class:`SemanticIndex` the engine builds per lint run (call graph +
+lazily-built per-function CFGs), and resolve reachability from the
+same entry points the runtime actually uses — the registered
+algorithms, the process-pool workers, the experiment cell drivers.
+REP012 and REP013 are module rules.  Findings flow through the
+ordinary engine machinery, so ``--select``, inline
+``# repro: allow[...]`` suppressions and the baseline ratchet all
+apply unchanged.
 """
 
 from __future__ import annotations
@@ -52,39 +53,13 @@ from repro.analysis.callgraph import (
     checkpoint_reaching,
 )
 from repro.analysis.findings import Finding
-from repro.analysis.flow import FunctionFlow, FunctionNode, root_name
+from repro.analysis.flow import (
+    FunctionFlow,
+    FunctionNode,
+    root_name,
+    walk_own_scope,
+)
 from repro.analysis.rules import ModuleContext, Rule, _dotted
-
-
-def _iter_functions(
-    ctx: ModuleContext,
-) -> Iterator[tuple[str, FunctionNode]]:
-    """Yield ``(qualname, def node)`` matching the call-graph naming."""
-    parts = ctx.rel[: -len(".py")].split("/")
-    if parts[-1] == "__init__":
-        parts = parts[:-1]
-    module = ".".join(parts)
-    prefix = f"{module}." if module else ""
-
-    def nested(owner: str, fn: FunctionNode) -> Iterator[tuple[str, FunctionNode]]:
-        for node in ast.walk(fn):
-            if (
-                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node is not fn
-            ):
-                yield f"{owner}.{node.name}", node
-
-    for stmt in ctx.tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            qualname = prefix + stmt.name
-            yield qualname, stmt
-            yield from nested(qualname, stmt)
-        elif isinstance(stmt, ast.ClassDef):
-            for item in stmt.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    qualname = f"{prefix}{stmt.name}.{item.name}"
-                    yield qualname, item
-                    yield from nested(qualname, item)
 
 
 def _module_level_names(
@@ -122,17 +97,23 @@ def _module_level_names(
 
 
 class SemanticIndex:
-    """Shared per-tree facts: call graph, reachability, lazy CFGs."""
+    """Shared per-tree facts: call graph, reachability, lazy CFGs.
+
+    The engine builds one per lint run and hands it to every project
+    rule.
+    """
 
     def __init__(self, modules: Sequence[ModuleContext]) -> None:
         self.modules = modules
-        package = modules[0].root.name if modules else "repro"
+        package = modules[0].package if modules else "repro"
         self.graph: CallGraph = build_callgraph(modules, package)
-        #: qualname -> (module context, def node)
+        #: qualname -> (module context, def node); the first definition
+        #: of a qualname wins, as in the call graph.
         self.functions: dict[str, tuple[ModuleContext, FunctionNode]] = {}
         for ctx in modules:
-            for qualname, fn in _iter_functions(ctx):
-                self.functions.setdefault(qualname, (ctx, fn))
+            for fn in ctx.functions:
+                for entry in (fn, *fn.nested):
+                    self.functions.setdefault(entry.qualname, (ctx, entry.node))
         self._flows: dict[str, FunctionFlow] = {}
         self._module_names: dict[str, tuple[frozenset[str], frozenset[str]]] = {}
         self.checkpoint_reaching: frozenset[str] = checkpoint_reaching(
@@ -156,20 +137,6 @@ class SemanticIndex:
         if ctx.rel not in self._module_names:
             self._module_names[ctx.rel] = _module_level_names(ctx)
         return self._module_names[ctx.rel]
-
-
-#: One-slot memo: the engine runs four semantic rules over the *same*
-#: module list in one lint pass; building the call graph once is enough.
-_CACHE: tuple[tuple[tuple[str, int], ...], SemanticIndex] | None = None
-
-
-def semantic_index(modules: Sequence[ModuleContext]) -> SemanticIndex:
-    """The (memoized) :class:`SemanticIndex` for one parsed tree."""
-    global _CACHE
-    key = tuple((m.rel, id(m.tree)) for m in modules)
-    if _CACHE is None or _CACHE[0] != key:
-        _CACHE = (key, SemanticIndex(modules))
-    return _CACHE[1]
 
 
 # --------------------------------------------------------------------- #
@@ -198,19 +165,16 @@ class ForkSharedStateWrite(Rule):
     rule_id = "REP010"
     summary = "module state written by ProcessPool-worker-reachable code"
 
-    def check_project(
-        self, modules: Sequence[ModuleContext]
-    ) -> Iterator[Finding]:
-        index = semantic_index(modules)
-        for qualname in sorted(index.worker_reachable):
-            entry = index.functions.get(qualname)
+    def check_project(self, project: SemanticIndex) -> Iterator[Finding]:
+        for qualname in sorted(project.worker_reachable):
+            entry = project.functions.get(qualname)
             if entry is None:
                 continue
             ctx, fn = entry
-            plain, _context_vars = index.module_names(ctx)
+            plain, _context_vars = project.module_names(ctx)
             if not plain:
                 continue
-            for write in index.flow(qualname).module_state_writes(plain):
+            for write in project.flow(qualname).module_state_writes(plain):
                 yield Finding(
                     ctx.rel,
                     write.line,
@@ -252,12 +216,9 @@ class UncheckpointedLoop(Rule):
     summary = "algorithm-reachable loop can iterate without checkpoint()"
     segments = ("core", "matching", "extensions")
 
-    def check_project(
-        self, modules: Sequence[ModuleContext]
-    ) -> Iterator[Finding]:
-        index = semantic_index(modules)
-        covered = index.checkpoint_reaching
-        callsites = index.graph.callsites
+    def check_project(self, project: SemanticIndex) -> Iterator[Finding]:
+        covered = project.checkpoint_reaching
+        callsites = project.graph.callsites
 
         def hits(node: ast.AST) -> bool:
             return (
@@ -265,14 +226,14 @@ class UncheckpointedLoop(Rule):
                 and callsites.get(id(node)) in covered
             )
 
-        for qualname in sorted(index.algorithm_reachable):
-            entry = index.functions.get(qualname)
+        for qualname in sorted(project.algorithm_reachable):
+            entry = project.functions.get(qualname)
             if entry is None:
                 continue
             ctx, fn = entry
             if ctx.segment not in self.segments:
                 continue
-            flow = index.flow(qualname)
+            flow = project.flow(qualname)
             for loop in flow.loops:
                 if not loop.outermost or flow.loop_bounded(loop):
                     continue
@@ -406,8 +367,9 @@ class ContextVarLeak(Rule):
         _plain, context_vars = _module_level_names(ctx)
         if not context_vars:
             return
-        for _qualname, fn in _iter_functions(ctx):
-            yield from self._check_function(ctx, fn, context_vars)
+        for fn in ctx.functions:
+            for entry in (fn, *fn.nested):
+                yield from self._check_function(ctx, entry.node, context_vars)
 
     def _check_function(
         self,
@@ -415,19 +377,6 @@ class ContextVarLeak(Rule):
         fn: FunctionNode,
         context_vars: frozenset[str],
     ) -> Iterator[Finding]:
-        def own_stmts(node: ast.AST) -> Iterator[ast.AST]:
-            stack: list[ast.AST] = list(ast.iter_child_nodes(node))
-            while stack:
-                current = stack.pop()
-                yield current
-                if isinstance(
-                    current,
-                    (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
-                     ast.Lambda),
-                ):
-                    continue
-                stack.extend(ast.iter_child_nodes(current))
-
         def set_call_var(node: ast.AST) -> str | None:
             if (
                 isinstance(node, ast.Call)
@@ -440,7 +389,7 @@ class ContextVarLeak(Rule):
             return None
 
         reset_in_finally: set[str] = set()
-        for node in own_stmts(fn):
+        for node in walk_own_scope(fn):
             if isinstance(node, ast.Try):
                 for stmt in node.finalbody:
                     for sub in ast.walk(stmt):
@@ -453,7 +402,7 @@ class ContextVarLeak(Rule):
                             if name in context_vars:
                                 reset_in_finally.add(name)
 
-        for node in own_stmts(fn):
+        for node in walk_own_scope(fn):
             if isinstance(node, ast.Expr):
                 var = set_call_var(node.value)
                 if var is not None:
@@ -467,7 +416,7 @@ class ContextVarLeak(Rule):
                         "block, or the context value outlives its scope",
                     )
 
-        for node in own_stmts(fn):
+        for node in walk_own_scope(fn):
             value: ast.expr | None = None
             if isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr)):
                 value = node.value
@@ -486,16 +435,3 @@ class ContextVarLeak(Rule):
                     "context value",
                 )
 
-
-#: The semantic rules, in rule-id order.
-SEMANTIC_RULES: tuple[Rule, ...] = (
-    ForkSharedStateWrite(),
-    UncheckpointedLoop(),
-    UnjournaledWrite(),
-    ContextVarLeak(),
-)
-
-#: rule id -> one-line summary, merged into the engine's catalogue.
-SEMANTIC_RULE_DOCS: dict[str, str] = {
-    rule.rule_id: rule.summary for rule in SEMANTIC_RULES
-}

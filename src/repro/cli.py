@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from repro.core.api import anonymize
 from repro.core.notions import NOTIONS
@@ -767,6 +767,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _readable_lines(
+    load: Callable[[str], tuple[list[dict[str, Any]], int]], path: str
+) -> tuple[list[dict[str, Any]], int]:
+    """``load(path)``, refusing a non-empty file with no readable record."""
+    records, skipped = load(path)
+    if skipped and not records:
+        raise ReproError(
+            f"no readable record in {path} ({skipped} lines skipped)"
+        )
+    return records, skipped
+
+
 def _cmd_obs(args: argparse.Namespace) -> int:
     import json
 
@@ -779,24 +791,24 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     from repro.obs.summarize import summarize
 
     if args.obs_command == "convert":
-        events = load_trace(args.trace)
+        events, skipped = _readable_lines(load_trace, args.trace)
         write_chrome_trace(events, args.out)
-        print(f"{len(events)} spans converted to {args.out}")
+        print(
+            f"{len(events)} spans converted to {args.out} "
+            f"({skipped} lines skipped)"
+        )
         return 0
     if args.obs_command == "summarize":
-        events = load_trace(args.trace) if args.trace else []
-        snapshot = (
-            read_json(args.metrics)
-            if args.metrics
-            else None
-        )
-        flight = (
-            read_json(args.flight) if args.flight else None
-        )
-        if not events and snapshot is None and flight is None:
+        if not (args.trace or args.metrics or args.flight):
             raise ReproError(
                 "give at least one of --trace, --metrics, --flight"
             )
+        events: list[dict[str, Any]] = []
+        if args.trace:
+            events, skipped = _readable_lines(load_trace, args.trace)
+            print(f"{args.trace}: {len(events)} spans ({skipped} lines skipped)")
+        snapshot = read_json(args.metrics) if args.metrics else None
+        flight = read_json(args.flight) if args.flight else None
         print(summarize(events, snapshot, flight))
         return 0
     if args.obs_command == "export":
@@ -808,10 +820,10 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             print(text, end="")
         return 0
     # tail
-    records = load_obs_journal(args.journal)
+    records, skipped = _readable_lines(load_obs_journal, args.journal)
     shown = records[-args.records:] if args.records else []
     print(
-        f"{args.journal}: {len(records)} records"
+        f"{args.journal}: {len(records)} records ({skipped} lines skipped)"
         + (f", showing last {len(shown)}" if shown else "")
     )
     for record in shown:

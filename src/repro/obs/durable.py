@@ -6,8 +6,9 @@ flushed and fsynced, so a crash can tear only the final line — and read
 by :func:`read_json_lines`, which skips and counts any line that is not
 a UTF-8 JSON object.  A whole document is written by
 :func:`replace_text` (unique temp file beside the target, fsync,
-``os.replace``); :func:`read_json` reads one JSON object back.  A file that cannot be
-read is a :class:`~repro.errors.ReproError` (``cannot read …``).
+``os.replace``) and read back by :func:`read_text`, or by
+:func:`read_json` as one JSON object.  A file that cannot be read, or
+is not UTF-8, is a :class:`~repro.errors.ReproError` (``cannot read …``).
 
 Nothing here fires a fault site; callers that want one checkpoint first.
 """
@@ -24,6 +25,7 @@ __all__ = [
     "append_json_line",
     "read_json",
     "read_json_lines",
+    "read_text",
     "replace_text",
 ]
 
@@ -76,12 +78,21 @@ def read_json_lines(
     return records, skipped
 
 
-def read_json(path: "str | os.PathLike[str]") -> Dict[str, Any]:
-    """The UTF-8 JSON object that is the whole of ``path``."""
+def read_text(path: "str | os.PathLike[str]") -> str:
+    """The UTF-8 text that is the whole of ``path``, line ends as written."""
     try:
         with open(path, "rb") as handle:
-            payload = json.loads(handle.read().decode("utf-8"))
-    except (OSError, ValueError) as exc:
+            return handle.read().decode("utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: UnicodeDecodeError
+        raise ReproError(f"cannot read {os.fspath(path)}: {exc}") from exc
+
+
+def read_json(path: "str | os.PathLike[str]") -> Dict[str, Any]:
+    """The UTF-8 JSON object that is the whole of ``path``."""
+    text = read_text(path)
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:
         raise ReproError(f"cannot read {os.fspath(path)}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ReproError(f"{os.fspath(path)} is not a JSON object")
@@ -89,7 +100,7 @@ def read_json(path: "str | os.PathLike[str]") -> Dict[str, Any]:
 
 
 def replace_text(path: "str | os.PathLike[str]", text: str) -> None:
-    """Replace ``path`` with ``text`` (UTF-8) atomically.
+    """Replace ``path`` with ``text`` (UTF-8, line ends as given) atomically.
 
     Readers see the old file or the new one, never a prefix.  Each call
     writes its own randomly named temp file beside the target, created
@@ -101,7 +112,7 @@ def replace_text(path: "str | os.PathLike[str]", text: str) -> None:
     tmp = os.path.join(directory, f"{name}.{os.urandom(6).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())

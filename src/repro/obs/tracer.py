@@ -233,13 +233,16 @@ def observe_site(site: str) -> None:
 # --------------------------------------------------------------------- #
 
 
-def load_trace(path: "str | os.PathLike[str]") -> List[Dict[str, Any]]:
-    """Read a span JSONL file, skipping a torn final line.
+def load_trace(
+    path: "str | os.PathLike[str]",
+) -> Tuple[List[Dict[str, Any]], int]:
+    """``(spans, skipped)``: a span JSONL file's records, and the count
+    of lines skipped as unreadable (a torn final line, say).
 
     Raises :class:`~repro.errors.ReproError` if the file cannot be read
     (:func:`~repro.obs.durable.read_json_lines`).
     """
-    return read_json_lines(path)[0]
+    return read_json_lines(path)
 
 
 def chrome_trace(events: List[Dict[str, Any]]) -> Dict[str, Any]:

@@ -29,7 +29,7 @@ import math
 import os
 import time
 from datetime import datetime, timezone
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.obs.durable import append_json_line, read_json_lines
 from repro.obs.metrics import (
@@ -282,15 +282,17 @@ def append_obs_record(
 
 def load_obs_journal(
     path: "str | os.PathLike[str]",
-) -> List[Dict[str, Any]]:
-    """Read an OBS journal, skipping a torn final line.
+) -> Tuple[List[Dict[str, Any]], int]:
+    """``(records, skipped)``: an OBS journal's records, and the count of
+    lines skipped as unreadable (a torn final line, say).
 
-    Records whose ``schema`` is not ``repro.obs.snapshot/*`` are
-    skipped too (forward compatibility).  Raises
+    Records whose ``schema`` is not ``repro.obs.snapshot/*`` are left
+    out too, uncounted (forward compatibility).  Raises
     :class:`~repro.errors.ReproError` if the file cannot be read.
     """
+    records, skipped = read_json_lines(path)
     return [
         record
-        for record in read_json_lines(path)[0]
+        for record in records
         if str(record.get("schema", "")).startswith("repro.obs.snapshot/")
-    ]
+    ], skipped

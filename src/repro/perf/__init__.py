@@ -18,7 +18,6 @@ End-to-end timing lives outside the package, in ``perfbench/``.
 from repro.perf.equivalence import (
     canonical_journal_entries,
     check_parallel_equivalence,
-    plan_cells,
 )
 from repro.perf.parallel import ParallelStats, run_parallel
 
@@ -26,6 +25,5 @@ __all__ = [
     "ParallelStats",
     "canonical_journal_entries",
     "check_parallel_equivalence",
-    "plan_cells",
     "run_parallel",
 ]

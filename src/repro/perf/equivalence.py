@@ -24,53 +24,12 @@ import tempfile
 from pathlib import Path
 from typing import Sequence
 
-from repro.experiments.configs import AGGLOMERATIVE_VARIANTS, ExperimentConfig
+from repro.experiments.catalogue import get_experiment
+from repro.experiments.configs import ExperimentConfig
 from repro.experiments.runner import ExperimentRunner, RunKey
 from repro.perf.parallel import run_parallel
 from repro.runtime import Journal
 from repro.verify.invariants import Violation
-
-
-def plan_cells(
-    config: ExperimentConfig | None = None,
-    datasets: tuple[str, ...] | None = None,
-    measures: tuple[str, ...] | None = None,
-    ks: tuple[int, ...] | None = None,
-) -> list[RunKey]:
-    """A representative every-kind grid, the default equivalence input.
-
-    One cell per runner entry point and option axis: the eight
-    agglomerative variants, the forest baseline, all four (k,k)
-    expander/join-target combinations and the global-(1,k) conversion,
-    for every requested dataset × measure × k.
-    """
-    config = config or ExperimentConfig()
-    keys: list[RunKey] = []
-    for dataset in datasets or config.datasets:
-        for measure in measures or config.measures:
-            for k in ks or config.ks:
-                for distance, modified in AGGLOMERATIVE_VARIANTS:
-                    keys.append(
-                        RunKey(
-                            "agg", dataset, measure, k,
-                            distance=distance, modified=modified,
-                        )
-                    )
-                keys.append(RunKey("forest", dataset, measure, k))
-                for expander in ("expansion", "nearest"):
-                    for join_with in ("generalized", "original"):
-                        keys.append(
-                            RunKey(
-                                "kk", dataset, measure, k,
-                                expander=expander, join_with=join_with,
-                            )
-                        )
-                keys.append(
-                    RunKey(
-                        "global", dataset, measure, k, expander="expansion"
-                    )
-                )
-    return keys
 
 
 def _canonical_outcome(outcome_json: dict) -> dict:
@@ -112,14 +71,15 @@ def check_parallel_equivalence(
 ) -> list[Violation]:
     """Run ``keys`` serially and in parallel; report every divergence.
 
-    Both runs journal to fresh files under ``work_dir`` (a temporary
-    directory by default), then memo contents and canonical journal
-    lines are compared byte-for-byte.  An empty return means the
-    parallel path is equivalent on this grid.
+    ``keys`` defaults to every cell the ``all`` report declares for
+    ``config``.  Both runs journal to fresh files under ``work_dir`` (a
+    temporary directory by default), then memo contents and canonical
+    journal lines are compared byte-for-byte.  An empty return means
+    the parallel path is equivalent on this grid.
     """
     config = config or ExperimentConfig()
     if keys is None:
-        keys = plan_cells(config)
+        keys = get_experiment("all").cells(config)
     keys = list(keys)
     violations: list[Violation] = []
 

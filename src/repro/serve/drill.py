@@ -215,7 +215,8 @@ def run_chaos_drill(
         f"serve.execute.computed={computed}",
     )
 
-    # Phase 4: overload must shed with types, not hang.
+    # Phase 4: overload must shed with types, not hang.  The fake clock
+    # makes the breaker's retry_after the same in every run.
     slow = AnonymizationService(
         ServiceConfig(
             max_inflight=1,
@@ -223,6 +224,7 @@ def run_chaos_drill(
             expected_seconds=10.0,
             retry=RetryPolicy(attempts=3, base_delay=0.0, seed=0),
         ),
+        clock=_TickClock(step=0.01),
         sleeper=_no_sleep,
     )
     probe = mix[0].to_json()

@@ -10,15 +10,17 @@ Values sharing a label within a level column form one permissible
 subset.  This module reads that format into an
 :class:`~repro.tabular.hierarchy.SubsetCollection` (so users can drop in
 hierarchies they already maintain for other tools) and writes laminar
-collections back out.
+collections back out, both through :mod:`repro.obs.durable`.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 
 from repro.errors import SchemaError
+from repro.obs.durable import read_text, replace_text
 from repro.tabular.attribute import Attribute
 from repro.tabular.hierarchy import SubsetCollection
 
@@ -41,12 +43,14 @@ def read_hierarchy_csv(
     ------
     SchemaError
         On an empty file, duplicate values, or ragged rows.
+    ReproError
+        If the file cannot be read or is not UTF-8.
     """
     rows: list[list[str]] = []
-    with open(path, newline="") as fh:
-        for line in csv.reader(fh, delimiter=delimiter):
-            if line and any(cell.strip() for cell in line):
-                rows.append([cell.strip() for cell in line])
+    text = io.StringIO(read_text(path), newline="")
+    for line in csv.reader(text, delimiter=delimiter):
+        if line and any(cell.strip() for cell in line):
+            rows.append([cell.strip() for cell in line])
     if not rows:
         raise SchemaError(f"hierarchy file {path} is empty")
     width = len(rows[0])
@@ -93,12 +97,13 @@ def write_hierarchy_csv(
         )
     att = collection.attribute
     height = collection.height()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
-        for v, value in enumerate(att.values):
-            node = collection.singleton_node(v)
-            row = [value]
-            for _ in range(height):
-                node = collection.parent(node)
-                row.append(collection.node_label(node))
-            writer.writerow(row)
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, delimiter=delimiter)
+    for v, value in enumerate(att.values):
+        node = collection.singleton_node(v)
+        row = [value]
+        for _ in range(height):
+            node = collection.parent(node)
+            row.append(collection.node_label(node))
+        writer.writerow(row)
+    replace_text(path, buffer.getvalue())

@@ -6,17 +6,22 @@ labels of :meth:`SubsetCollection.node_label` (``value``, ``lo-hi``,
 back, so an anonymized release written by the CLI can be re-audited
 later.  Schemas serialize to JSON (attribute domains, permissible
 subsets, private attribute names) so a release is self-describing.
+Every file is read and written through :mod:`repro.obs.durable`: an
+unreadable file is a ``ReproError`` (``cannot read …``), and a write
+replaces its target atomically, so a crash never leaves a truncated
+release.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Sequence
 
 from repro.errors import SchemaError
-from repro.obs.durable import read_json, replace_text
+from repro.obs.durable import read_json, read_text, replace_text
 from repro.tabular.attribute import Attribute
 from repro.tabular.hierarchy import SubsetCollection
 from repro.tabular.record import GeneralizedRecord
@@ -79,17 +84,14 @@ def read_schema_json(path: str | Path) -> Schema:
 
 def write_table_csv(table: Table, path: str | Path) -> None:
     """Write a table (public + private columns) to CSV with a header row."""
-    with open(path, "w", newline="") as fh:
-        _write_table(table, fh)
-
-
-def _write_table(table: Table, fh: TextIO) -> None:
-    writer = csv.writer(fh)
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
     schema = table.schema
     writer.writerow(list(schema.attribute_names) + list(schema.private_attributes))
     for i, row in enumerate(table.rows):
         priv = table.private_rows[i] if table.private_rows else ()
         writer.writerow(list(row) + list(priv))
+    replace_text(path, buffer.getvalue())
 
 
 def read_table_csv(schema: Schema, path: str | Path) -> Table:
@@ -98,22 +100,21 @@ def read_table_csv(schema: Schema, path: str | Path) -> Table:
     The header must list the schema's public attributes (in order) followed
     by its private attributes.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"CSV file {path} is empty") from None
-        expected = list(schema.attribute_names) + list(schema.private_attributes)
-        if header != expected:
-            raise SchemaError(
-                f"CSV header {header} does not match schema columns {expected}"
-            )
-        r = schema.num_attributes
-        rows, private_rows = [], []
-        for line in reader:
-            rows.append(line[:r])
-            private_rows.append(line[r:])
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"CSV file {path} is empty") from None
+    expected = list(schema.attribute_names) + list(schema.private_attributes)
+    if header != expected:
+        raise SchemaError(
+            f"CSV header {header} does not match schema columns {expected}"
+        )
+    r = schema.num_attributes
+    rows, private_rows = [], []
+    for line in reader:
+        rows.append(line[:r])
+        private_rows.append(line[r:])
     priv = private_rows if schema.private_attributes else None
     return Table(schema, rows, priv)
 
@@ -140,17 +141,18 @@ def write_generalized_csv(
             f"{gtable.num_records} generalized records but "
             f"{len(private_rows)} private rows"
         )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            list(schema.attribute_names)
-            + (list(schema.private_attributes) if private_rows is not None else [])
-        )
-        for i, rec in enumerate(gtable.records):
-            row = list(rec.labels())
-            if private_rows is not None:
-                row += list(private_rows[i])
-            writer.writerow(row)
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(
+        list(schema.attribute_names)
+        + (list(schema.private_attributes) if private_rows is not None else [])
+    )
+    for i, rec in enumerate(gtable.records):
+        row = list(rec.labels())
+        if private_rows is not None:
+            row += list(private_rows[i])
+        writer.writerow(row)
+    replace_text(path, buffer.getvalue())
 
 
 def _parse_cell(coll: SubsetCollection, cell: str) -> int:
@@ -184,22 +186,21 @@ def read_generalized_csv(schema: Schema, path: str | Path) -> GeneralizedTable:
     Private columns, if present in the file, are ignored here — use
     :func:`read_table_csv` semantics for them if needed.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"CSV file {path} is empty") from None
-        names = list(schema.attribute_names)
-        if header[: len(names)] != names:
-            raise SchemaError(
-                f"CSV header {header} does not start with schema columns {names}"
-            )
-        records = []
-        for line in reader:
-            nodes = [
-                _parse_cell(coll, cell)
-                for coll, cell in zip(schema.collections, line)
-            ]
-            records.append(GeneralizedRecord(schema, nodes))
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"CSV file {path} is empty") from None
+    names = list(schema.attribute_names)
+    if header[: len(names)] != names:
+        raise SchemaError(
+            f"CSV header {header} does not start with schema columns {names}"
+        )
+    records = []
+    for line in reader:
+        nodes = [
+            _parse_cell(coll, cell)
+            for coll, cell in zip(schema.collections, line)
+        ]
+        records.append(GeneralizedRecord(schema, nodes))
     return GeneralizedTable(schema, records)

@@ -91,6 +91,35 @@ def test_reexport_chain_through_init(tmp_path):
     assert "runtime.deadline.checkpoint" in graph.callees("core.algo.run")
 
 
+def test_relative_reexport_through_a_package_init(tmp_path):
+    pkg = tmp_path / "p"
+    (pkg / "core").mkdir(parents=True)
+    (pkg / "core" / "__init__.py").write_text("from .helper import f\n")
+    (pkg / "core" / "helper.py").write_text("def f() -> None: ...\n")
+    (pkg / "experiments").mkdir()
+    (pkg / "experiments" / "run.py").write_text(
+        "from p.core import f\n"
+        "def go() -> None:\n"
+        "    f()\n"
+    )
+    graph = build_tree_callgraph(pkg)
+    assert graph.callees("experiments.run.go") == {"core.helper.f"}
+
+
+def test_dotted_import_binds_its_first_name(tmp_path):
+    # `import urllib.request` binds `urllib`, so the call below names
+    # urllib.request.urlopen, not urllib.request.request.urlopen.
+    pkg = tmp_path / "p"
+    pkg.mkdir()
+    (pkg / "fetch.py").write_text(
+        "import urllib.request\n"
+        "def get() -> None:\n"
+        "    urllib.request.urlopen('http://localhost')\n"
+    )
+    graph = build_tree_callgraph(pkg)
+    assert graph.callees("fetch.get") == {"urllib.request.urlopen"}
+
+
 def test_unknown_receivers_are_dropped_not_guessed(tmp_path):
     pkg = tmp_path / "p"
     (pkg / "core").mkdir(parents=True)

@@ -22,6 +22,7 @@ from repro.obs.durable import (
     append_json_line,
     read_json,
     read_json_lines,
+    read_text,
     replace_text,
 )
 from repro.runtime import Journal
@@ -116,6 +117,24 @@ class TestReadJson:
     def test_missing_file_is_a_typed_error(self, tmp_path):
         with pytest.raises(ReproError, match="cannot read"):
             read_json(tmp_path / "absent.json")
+
+
+class TestReadText:
+    def test_round_trip_keeps_line_ends(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        replace_text(path, "a,b\r\n1,✓\r\n")
+        assert path.read_bytes() == "a,b\r\n1,✓\r\n".encode("utf-8")
+        assert read_text(path) == "a,b\r\n1,✓\r\n"
+
+    @pytest.mark.parametrize(
+        "content", [None, b"a,b\r\n\xff\xfe\x9c"], ids=["missing", "not-utf8"]
+    )
+    def test_unreadable_file_is_a_typed_error(self, tmp_path, content):
+        path = tmp_path / "rows.csv"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ReproError, match="cannot read"):
+            read_text(path)
 
 
 class TestReplaceText:
@@ -271,6 +290,33 @@ class TestCliReadFailures:
         assert main(["obs", "summarize", flag, str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: cannot read")
 
+    @pytest.mark.parametrize(
+        "case", ["audit-missing-table", "audit-non-utf8-table", "anonymize-missing-input"]
+    )
+    def test_unreadable_csv_exits_2(self, tmp_path, capsys, case):
+        from repro.datasets import schema_of
+        from repro.tabular.io import write_schema_json
+
+        schema = tmp_path / "schema.json"
+        write_schema_json(schema_of("art"), schema)
+        table = tmp_path / "table.csv"
+        if case == "audit-non-utf8-table":
+            table.write_bytes(b"\xff\xfe\x00\x9c")
+        if case.startswith("audit"):
+            argv = [
+                "audit", "--schema", str(schema), "--table", str(table),
+                "--release", str(table), "--k", "2",
+            ]
+        else:
+            argv = [
+                "anonymize", "--input", str(table), "--schema", str(schema),
+                "--k", "2", "--out", str(tmp_path / "release.csv"),
+            ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read")
+        assert "Traceback" not in err
+
     def test_non_utf8_schema_exits_2(self, tmp_path, capsys):
         schema = tmp_path / "schema.json"
         schema.write_bytes(b"\xff\xfe\x00\x9c")
@@ -295,14 +341,19 @@ class TestCliReadFailures:
         trace = self._trace_with_garbage_tail(tmp_path)
         out = tmp_path / "trace.chrome.json"
         assert main(["obs", "convert", str(trace), "--out", str(out)]) == 0
-        assert "1 spans converted" in capsys.readouterr().out
+        assert (
+            f"1 spans converted to {out} (1 lines skipped)"
+            in capsys.readouterr().out
+        )
         events = json.loads(out.read_text())["traceEvents"]
         assert [e["name"] for e in events] == ["kept"]
 
     def test_summarize_skips_a_non_utf8_tail(self, tmp_path, capsys):
         trace = self._trace_with_garbage_tail(tmp_path)
         assert main(["obs", "summarize", "--trace", str(trace)]) == 0
-        assert "kept" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"{trace}: 1 spans (1 lines skipped)" in out
+        assert "kept" in out
 
     def test_tail_skips_a_non_utf8_tail(self, tmp_path, capsys):
         from repro.obs import append_obs_record
@@ -314,4 +365,38 @@ class TestCliReadFailures:
         with open(journal, "ab") as handle:
             handle.write(b"\xff\xfe\x00garbage")
         assert main(["obs", "tail", str(journal)]) == 0
-        assert f"{journal}: 1 records" in capsys.readouterr().out
+        assert (
+            f"{journal}: 1 records (1 lines skipped)"
+            in capsys.readouterr().out
+        )
+
+    READ_COMMANDS = pytest.mark.parametrize(
+        "argv",
+        [
+            ["obs", "convert", "{path}", "--out", "{out}"],
+            ["obs", "summarize", "--trace", "{path}"],
+            ["obs", "tail", "{path}"],
+        ],
+        ids=["convert", "summarize-trace", "tail"],
+    )
+
+    @READ_COMMANDS
+    def test_no_readable_record_exits_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "garbage.jsonl"
+        path.write_bytes(b"\xff\xfe garbage\n\x9c\x00 more garbage\n")
+        out = tmp_path / "out.json"
+        assert main([a.format(path=path, out=out) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: no readable record in {path} (2 lines skipped)"
+        )
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
+    @READ_COMMANDS
+    def test_empty_file_exits_0(self, tmp_path, capsys, argv):
+        path = tmp_path / "empty.jsonl"
+        path.write_bytes(b"")
+        out = tmp_path / "out.json"
+        assert main([a.format(path=path, out=out) for a in argv]) == 0
+        assert "(0 lines skipped)" in capsys.readouterr().out

@@ -12,13 +12,22 @@ from __future__ import annotations
 
 import ast
 import textwrap
+from pathlib import Path
 
-from repro.analysis.flow import FunctionFlow, function_flows
+from repro.analysis.flow import FunctionFlow
+from repro.analysis.rules import ModuleContext
 
 
 def _flow(source: str, name: str | None = None) -> FunctionFlow:
-    tree = ast.parse(textwrap.dedent(source))
-    flows = {fn.name: flow for fn, flow in function_flows(tree)}
+    """The flow of ``name`` (default: the first def) in the module's
+    function table."""
+    text = textwrap.dedent(source)
+    ctx = ModuleContext(Path("."), Path("m.py"), "m.py", ast.parse(text), text)
+    flows = {
+        entry.node.name: FunctionFlow(entry.node)
+        for fn in ctx.functions
+        for entry in (fn, *fn.nested)
+    }
     return flows[name] if name else next(iter(flows.values()))
 
 

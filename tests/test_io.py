@@ -1,8 +1,13 @@
 """Unit tests for CSV/JSON round-tripping."""
 
+import hashlib
+
 import pytest
 
-from repro.errors import SchemaError
+from repro.core.api import anonymize
+from repro.datasets import load
+from repro.errors import ReproError, SchemaError
+from repro.tabular.hierarchy_csv import read_hierarchy_csv, write_hierarchy_csv
 from repro.tabular.io import (
     read_generalized_csv,
     read_schema_json,
@@ -130,3 +135,66 @@ class TestGeneralizedCsv:
         path.write_text("x,y\n1,2\n")
         with pytest.raises(SchemaError, match="header"):
             read_generalized_csv(small_table.schema, path)
+
+
+class TestDurableCsv:
+    """CSV files go through repro.obs.durable: reads fail typed, writes
+    replace their target atomically and keep their bytes."""
+
+    #: sha256 of (table CSV, release CSV, laminar hierarchy CSVs in
+    #: schema order), as csv.writer wrote them straight to a file opened
+    #: with newline="" before the writers rendered into replace_text.
+    DIGESTS = {
+        "art": (
+            "5c7f50c43c686f3a72cce7677014925b4922d0d6c0054bd26119e29676ba3d64",
+            "52a93e414d4ef1f85d60060f5bd80b85ec467a82d06a1c6a09ed86ba46aa4795",
+            "0d483c9a07648f4ffa57126307542592534bf3c005ecced5678f3a72aaf32063",
+        ),
+        "cmc": (
+            "5f32b48fe77f17d1c7bbb3417e5614940d11147de20783c03bad66c8a0ae1a54",
+            "49e4b874715b2564b0f4a3a3241e6306baa4e7fc5e63fd35656ac734bc827866",
+            "6c61e231f3ca8ffec5aa285f11203f1d5b20bb5fb0405c91bddc92e1946297af",
+        ),
+        "adult": (
+            "b16456e14d3d729507c81eea8649ce4dc048cd93fa0bddcf8b4b1f65e6628824",
+            "cf3560639383490f46dc2038f1a90398655853cd25355946672fd74b45bcb039",
+            "6ee11056240f3b432107ab68c3419c36df97ea82e4b5b963a01ff44e4bdc3185",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_writer_bytes_are_unchanged(self, tmp_path, name):
+        table = load(name, n=60, seed=7, private=True)
+        release = anonymize(table, k=4).generalized
+        write_table_csv(table, tmp_path / "t.csv")
+        write_generalized_csv(release, tmp_path / "r.csv", table.private_rows)
+        hierarchies = hashlib.sha256()
+        for coll in table.schema.collections:
+            if coll.is_laminar:
+                write_hierarchy_csv(coll, tmp_path / "h.csv")
+                hierarchies.update((tmp_path / "h.csv").read_bytes())
+        table_bytes = (tmp_path / "t.csv").read_bytes()
+        assert table_bytes.endswith(b"\r\n")  # the csv module's line ends
+        assert (
+            hashlib.sha256(table_bytes).hexdigest(),
+            hashlib.sha256((tmp_path / "r.csv").read_bytes()).hexdigest(),
+            hierarchies.hexdigest(),
+        ) == self.DIGESTS[name]
+
+    @pytest.mark.parametrize(
+        "content", [None, b"a,b\n\xff\xfe\x9c,x\n"], ids=["missing", "not-utf8"]
+    )
+    def test_unreadable_file_is_a_typed_error(
+        self, small_table, tmp_path, content
+    ):
+        path = tmp_path / "in.csv"
+        if content is not None:
+            path.write_bytes(content)
+        readers = (
+            lambda: read_table_csv(small_table.schema, path),
+            lambda: read_generalized_csv(small_table.schema, path),
+            lambda: read_hierarchy_csv("a", path),
+        )
+        for read in readers:
+            with pytest.raises(ReproError, match="cannot read"):
+                read()

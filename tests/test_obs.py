@@ -305,8 +305,8 @@ class TestTracer:
                 observe_site("site")
             with span("two"):
                 pass
-        events = load_trace(path)
-        assert events == tracer.events
+        events, skipped = load_trace(path)
+        assert (events, skipped) == (tracer.events, 0)
 
     def test_torn_final_line_is_skipped(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -316,8 +316,9 @@ class TestTracer:
                 pass
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"v": 1, "name": "torn", "ts":')  # crash mid-write
-        events = load_trace(path)
+        events, skipped = load_trace(path)
         assert [e["name"] for e in events] == ["kept"]
+        assert skipped == 1
 
     def test_chrome_trace_conversion_shape_and_units(self):
         events = [
@@ -567,7 +568,7 @@ class TestObservationEquivalence:
         assert resumed.resumed_cells == 3
         assert [outcome.cost for outcome in outcomes] == expected
         # ...and the crash-spanning trace is well-formed end to end.
-        events = load_trace(trace_path)
+        events, _skipped = load_trace(trace_path)
         assert sum(e["name"] == "experiments.cell" for e in events) >= 3
         chrome = chrome_trace(events)
         assert all(e["ph"] == "X" for e in chrome["traceEvents"])
@@ -644,7 +645,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert str(trace_path) in out
         assert str(metrics_path) in out
-        events = load_trace(trace_path)
+        events, _skipped = load_trace(trace_path)
         assert any(e["name"] == "experiments.cell" for e in events)
         snapshot = json.loads(metrics_path.read_text())
         assert snapshot["counters"]["core.agglomerative.merges"] > 0

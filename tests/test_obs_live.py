@@ -391,8 +391,9 @@ class TestObsJournal:
         append_obs_record(path, kind="experiment", stamp="s2", snapshot=snap)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"schema": "repro.obs.snapshot/1", "kind": "to')
-        loaded = load_obs_journal(path)
+        loaded, skipped = load_obs_journal(path)
         assert [r["kind"] for r in loaded] == ["bench", "experiment"]
+        assert skipped == 1
         assert loaded[0]["snapshot"] == json.loads(json.dumps(snap))
         assert loaded[0]["quick"] is True
 
@@ -403,7 +404,8 @@ class TestObsJournal:
             '{"schema": "repro.obs.snapshot/1", "kind": "bench", '
             '"stamp": "s", "snapshot": {}}\n'
         )
-        assert [r["kind"] for r in load_obs_journal(path)] == ["bench"]
+        records, skipped = load_obs_journal(path)
+        assert ([r["kind"] for r in records], skipped) == (["bench"], 0)
 
     def test_extra_keys_must_not_shadow_the_schema(self, tmp_path):
         with pytest.raises(ValueError):

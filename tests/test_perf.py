@@ -13,6 +13,8 @@ The acceptance drills for the performance subsystem live here:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,6 @@ from repro.measures.entropy import (
 from repro.perf import (
     canonical_journal_entries,
     check_parallel_equivalence,
-    plan_cells,
     run_parallel,
 )
 from repro.runtime import Journal
@@ -107,7 +108,9 @@ class TestPlans:
             get_experiment("nope")
 
     def test_plan_cells_covers_every_run_kind(self):
-        kinds = {key.kind for key in plan_cells(SMALL)}
+        # The equivalence check's default grid: every runner entry
+        # point the catalogue declares.
+        kinds = {key.kind for key in get_experiment("all").cells(SMALL)}
         assert kinds == {"agg", "forest", "kk", "global"}
 
 
@@ -135,8 +138,9 @@ class TestParallel:
         assert runner.computed_cells == 4
 
     def test_parallel_equivalent_to_serial(self):
-        keys = plan_cells(SMALL, ks=(3,))
-        violations = check_parallel_equivalence(SMALL, keys, workers=3)
+        config = replace(SMALL, ks=(3,))
+        assert len(get_experiment("all").cells(config)) == 36
+        violations = check_parallel_equivalence(config, workers=3)
         assert violations == [], "\n".join(str(v) for v in violations)
 
     def test_equivalence_check_catches_a_divergence(self, tmp_path):

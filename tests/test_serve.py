@@ -993,6 +993,13 @@ class TestChaosDrill:
         assert report.ok, report.format()
         assert len(report.checks) >= 8
 
+    def test_the_drill_report_is_deterministic(self, tmp_path):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        first = run_chaos_drill(tmp_path / "a" / "drill.jsonl")
+        second = run_chaos_drill(tmp_path / "b" / "drill.jsonl")
+        assert first.format() == second.format()
+
 
 # --------------------------------------------------------------------- #
 # live telemetry (opt-in): windows, SLOs, flight, health gauges

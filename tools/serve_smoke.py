@@ -159,7 +159,7 @@ def main() -> int:
         )
 
         # Phase D: the trace survived both lives and converts cleanly.
-        events = load_trace(trace)
+        events, _skipped = load_trace(trace)
         assert events, "no spans survived in the trace file"
         chrome = Path(tmp) / "chrome.json"
         write_chrome_trace(events, chrome)

@@ -186,6 +186,20 @@ class Baseline:
         ]
         return new, baselined, stale
 
+    def within(self, roots: Sequence[str | Path]) -> Baseline:
+        """The entries whose path some scan root contains: a directory
+        root holding that file, or a single-file root of that name."""
+
+        def contains(root: Path, rel: str) -> bool:
+            return (root / rel).is_file() if root.is_dir() else root.name == rel
+
+        kept = [
+            entry
+            for entry in self.entries
+            if any(contains(Path(root), entry["path"]) for root in roots)
+        ]
+        return Baseline(path=self.path, entries=kept)
+
     def prune(self, stale: Sequence[Mapping[str, str]]) -> int:
         """Drop ``stale`` entries and rewrite the baseline file.
 
@@ -219,6 +233,9 @@ class LintReport:
     suppressed: list[Finding]
     baselined: list[Finding]
     stale_baseline: list[dict[str, str]]
+    #: The scan root's call graph, for a directory root (the one
+    #: ``--callgraph`` writes); None for a single file.
+    callgraph: CallGraph | None = None
 
     @property
     def ok(self) -> bool:
@@ -394,7 +411,8 @@ def lint_tree(
         )
     files = _discover(root)
     modules, raw_findings = _parse_modules(root, files)
-    project = SemanticIndex(modules)
+    scan_root = root if root.is_dir() else root.parent
+    project = SemanticIndex(modules, scan_root.name)
 
     for ctx in modules:
         for rule in ALL_RULES:
@@ -437,6 +455,7 @@ def lint_tree(
         suppressed=suppressed,
         baselined=baselined,
         stale_baseline=stale,
+        callgraph=project.graph if root.is_dir() else None,
     )
 
 
@@ -462,13 +481,18 @@ def run_lint(
     select: Iterable[str] | None = None,
     baseline_path: str | Path | None = None,
     check_layers: bool = True,
+    scope_baseline: bool = False,
 ) -> list[LintReport]:
     """Lint several scan roots with one shared baseline.
 
     This is the function behind ``repro-anon lint``; it returns one
-    :class:`LintReport` per path, in input order.
+    :class:`LintReport` per path, in input order.  With
+    ``scope_baseline`` the baseline judges only the scanned trees: an
+    entry whose path no root contains is ignored, not reported stale.
     """
     baseline = Baseline.load(baseline_path) if baseline_path else None
+    if baseline is not None and scope_baseline:
+        baseline = baseline.within(paths)
     reports = [
         lint_tree(
             path, select=select, baseline=baseline, check_layers=check_layers

@@ -103,9 +103,8 @@ class SemanticIndex:
     rule.
     """
 
-    def __init__(self, modules: Sequence[ModuleContext]) -> None:
+    def __init__(self, modules: Sequence[ModuleContext], package: str) -> None:
         self.modules = modules
-        package = modules[0].package if modules else "repro"
         self.graph: CallGraph = build_callgraph(modules, package)
         #: qualname -> (module context, def node); the first definition
         #: of a qualname wins, as in the call graph.

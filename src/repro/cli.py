@@ -317,8 +317,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     lint_cmd.add_argument(
         "--baseline",
-        help="baseline JSON of reviewed findings "
-        "(default: ./lint-baseline.json when it exists)",
+        help="baseline JSON of reviewed findings (default: "
+        "./lint-baseline.json when it exists, minus the entries whose "
+        "path no scanned root contains)",
     )
     lint_cmd.add_argument(
         "--select",
@@ -565,7 +566,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from repro.analysis import Baseline, build_tree_callgraph, run_lint
+    from repro.analysis import Baseline, run_lint
 
     if args.paths:
         paths = [Path(p) for p in args.paths]
@@ -573,7 +574,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         # This module lives inside the package being linted.
         paths = [Path(__file__).resolve().parent]
     baseline = args.baseline
-    if baseline is None and Path("lint-baseline.json").is_file():
+    # The implicit baseline judges only the trees this run scans.
+    implicit = baseline is None and Path("lint-baseline.json").is_file()
+    if implicit:
         baseline = "lint-baseline.json"
     select = (
         # An explicit-but-empty --select is an error (caught by the
@@ -587,6 +590,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         select=select,
         baseline_path=baseline,
         check_layers=not args.no_layers,
+        scope_baseline=implicit,
     )
     if args.prune_baseline:
         if baseline is None:
@@ -605,13 +609,14 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             for report in reports:
                 report.stale_baseline = []
     if args.callgraph:
-        root = next((p for p in paths if p.is_dir()), None)
-        if root is None:
+        graph = next(
+            (r.callgraph for r in reports if r.callgraph is not None), None
+        )
+        if graph is None:
             raise ReproError(
                 "--callgraph needs a package directory among the scanned "
                 "paths"
             )
-        graph = build_tree_callgraph(root)
         replace_text(args.callgraph, graph.to_json_text())
         print(f"call graph written to {args.callgraph}", file=sys.stderr)
     if args.output_format == "json":

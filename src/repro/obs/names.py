@@ -39,6 +39,7 @@ METRIC_NAMES: FrozenSet[str] = frozenset(
         "core.agglomerative.row_rescans",
         "core.agglomerative.shrink_candidates",
         # core ((k,1) family)
+        "core.k1.lanes_repriced",
         "core.k1.pairs_priced",
         # experiments
         "experiments.cell_seconds",

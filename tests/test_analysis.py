@@ -19,6 +19,7 @@ from repro.analysis import (
     Baseline,
     DEFAULT_LAYERS,
     Finding,
+    build_tree_callgraph,
     rule_ids,
     run_lint,
 )
@@ -701,6 +702,50 @@ def test_cli_prune_baseline_requires_a_baseline(
     code = main(["lint", str(FIXTURES), "--prune-baseline"])
     assert code == 2
     assert "--baseline" in capsys.readouterr().err
+
+
+def test_cli_implicit_baseline_judges_only_its_tree(
+    tmp_path, monkeypatch, capsys
+):
+    """With no --baseline, ./lint-baseline.json applies only to entries
+    whose path a scanned root contains; an explicit one is judged whole."""
+    pkg = tmp_path / "clean"
+    pkg.mkdir()
+    (pkg / "errors.py").write_text("x = 1\n")
+    monkeypatch.chdir(REPO_ROOT)
+    assert main(["lint", str(pkg)]) == 0
+    out = capsys.readouterr().out
+    assert "stale baseline" not in out and "0 finding(s)" in out
+    explicit = str(REPO_ROOT / "lint-baseline.json")
+    assert main(["lint", str(pkg), "--baseline", explicit]) == 1
+    assert "error: stale baseline entry" in capsys.readouterr().out
+
+
+def test_baseline_within_keeps_entries_under_a_scanned_root(tmp_path):
+    (tmp_path / "core").mkdir()
+    (tmp_path / "core" / "m.py").write_text("x = 1\n")
+    entries = [
+        {"rule": "REP004", "path": path, "message": "m", "reason": "r"}
+        for path in ("core/m.py", "core/gone.py", "m.py")
+    ]
+    baseline = Baseline(entries=entries)
+    kept = baseline.within([tmp_path]).entries
+    assert [e["path"] for e in kept] == ["core/m.py"]
+    single = baseline.within([tmp_path / "core" / "m.py"]).entries
+    assert [e["path"] for e in single] == ["m.py"]
+
+
+def test_lint_report_carries_the_tree_call_graph():
+    """``--callgraph`` writes the lint run's own graph: the same bytes
+    the one-call helper builds from a fresh parse."""
+    (report,) = run_lint([FIXTURES])
+    assert report.callgraph is not None
+    assert (
+        report.callgraph.to_json_text()
+        == build_tree_callgraph(FIXTURES).to_json_text()
+    )
+    (single,) = run_lint([next(FIXTURES.rglob("*.py"))])
+    assert single.callgraph is None
 
 
 def test_run_lint_multiple_paths(tmp_path):

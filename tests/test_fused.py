@@ -34,7 +34,7 @@ from repro.core.reference import (
     reference_one_k,
 )
 from repro.datasets.registry import load
-from repro.errors import SchemaError
+from repro.errors import AnonymityError, SchemaError
 from repro.matching.bipartite import ConsistencyGraph
 from repro.measures.base import (
     CostModel,
@@ -338,6 +338,91 @@ class TestBounds:
         )
         assert not costs_grow_with_joins(model)
         self._assert_full_pricing(model)
+
+
+def _counted(model: CostModel, k: int) -> tuple[np.ndarray, dict[str, int]]:
+    """Algorithm 4's output and the counters it emitted."""
+    registry = MetricsRegistry()
+    with metrics_scope(registry):
+        nodes = k1_expansion(model, k)
+    return nodes, registry.snapshot()["counters"]
+
+
+class TestShortlists:
+    """From k = 4 on, Algorithm 4's later steps run on per-lane shortlists.
+
+    Tiny blocks give every table single- or few-lane blocks and
+    multi-lane runs, and the step rule is lifted so that even the
+    five-row duplicates table lists at k = 4.  Lists of one or two
+    candidates leave many lanes uncertified, so repricing and rebuilt
+    lists are common; duplicates spend listed candidates."""
+
+    @pytest.fixture(autouse=True)
+    def lift_step_rule(self, monkeypatch):
+        monkeypatch.setattr(k1_module, "_SHORTLIST_MIN_STEPS", 0)
+
+    @pytest.mark.parametrize("cells", [7, 20])
+    @pytest.mark.parametrize("listed", [1, 2])
+    @pytest.mark.parametrize("table_name,measure", [
+        ("grouped", "lm"), ("duplicates", "lm"), ("intervals", "mw"),
+    ])
+    def test_shortlists_never_change_outputs(
+        self, monkeypatch, cells, listed, table_name, measure
+    ):
+        model = _model(table_name, measure)
+        assert costs_grow_with_joins(model)
+        expected = {k: reference_k1_expansion(model, k) for k in (4, 5, 10)}
+        monkeypatch.setattr(k1_module, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(k1_module, "_SHORTLIST", listed)
+        repriced = 0
+        for k, want in expected.items():
+            nodes, counters = _counted(model, k)
+            assert _same(nodes, want), k
+            repriced += counters["core.k1.lanes_repriced"]
+        assert repriced > 0
+
+    def test_k3_builds_no_shortlist(self, monkeypatch):
+        model = _model("grouped", "lm")
+        monkeypatch.setattr(k1_module, "_BLOCK_CELLS", 7)
+        monkeypatch.setattr(k1_module, "_SHORTLIST", 2)
+        built: list[int] = []
+        select = k1_module._shortlist
+        monkeypatch.setattr(
+            k1_module,
+            "_shortlist",
+            lambda prices, m: built.append(m) or select(prices, m),
+        )
+        nodes, counters = _counted(model, 3)
+        assert _same(nodes, reference_k1_expansion(model, 3))
+        assert built == [] and counters["core.k1.lanes_repriced"] == 0
+        k1_expansion(model, 4)
+        assert built and set(built) == {2}
+
+    def test_spent_lists_are_repriced_not_raised(self):
+        """A lane whose listed candidates are all spent is left to full
+        pricing while its cut is finite; only a +inf cut means no
+        candidate is left at all."""
+        model = _model("grouped", "lm")
+        enc = model.enc
+        fused = FusedJoinCost(model)
+        u_t = enc.unique_singleton_nodes.T
+        cur = enc.unique_singleton_nodes[[0, 1]]
+        cur_cost = np.asarray(model.record_cost(cur), dtype=np.float64)
+        ids = np.array([[2, 3], [2, 3]], dtype=np.int32)
+        bounds = np.array(
+            [[np.inf, np.inf], fused.elementwise_costs(u_t[:, [2, 3]], cur[[1, 1]].T)]
+        )
+        lower = np.empty_like(bounds)
+        lists = (ids, bounds, np.array([0.5, np.inf]))
+        sure, at, costs, pairs = k1_module._listed_step(
+            fused, u_t, lists, cur, cur_cost, lower
+        )
+        assert sure.tolist() == [1]
+        assert pairs == 2 + at.size  # one upper per lane, one survivor
+        assert costs[0] == bounds[1, at[0]]
+        lists = (ids, bounds, np.array([np.inf, np.inf]))
+        with pytest.raises(AnonymityError, match="fewer than k"):
+            k1_module._listed_step(fused, u_t, lists, cur, cur_cost, lower)
 
 
 @pytest.mark.parametrize("measure,bounded", [("lm", True), ("entropy", False)])

@@ -49,7 +49,8 @@ bit-identical to ``record_cost`` of the materialized join.
 
 * **One index space.**  All engine state is indexed by matrix column:
   the square matrix's rows and columns, the attribute-major ``[r, w]``
-  closure nodes, sizes, costs, members and the row minima.  Columns
+  closure nodes (C-order ``intp``, the kernel's gather indices), sizes,
+  costs, members and the row minima.  Columns
   hold slots in ascending order (``cols[j]`` is the slot of column j,
   ``pos[s]`` the column of slot s), so every first-index rule over
   columns is the rule above over slots; ``cols``/``pos`` only map the
@@ -83,7 +84,8 @@ is exact it is the lowest row of the least pair, and its ``row_arg``
 the lowest partner, which is the selection rule above.  When it is
 stale, one repair first rescans the stale rows whose bound does not
 exceed the least exact row minimum, in blocks of about
-``_BLOCK_CELLS`` cells; no other stale row can hold the least pair.
+``_BLOCK_CELLS`` cells gathered into one reused buffer; no other stale
+row can hold the least pair.
 
 Once a quarter of the columns are inactive, the active rows and columns
 are compacted in place into a smaller square of the same buffer, rows
@@ -143,10 +145,11 @@ class _Engine:
 
         # Column state: at most n clusters are ever alive at once, so n
         # columns suffice; slots freed by merges are recycled for the
-        # singletons Algorithm 2 expels.  ``copy()``: for one attribute
-        # the transpose is already C-contiguous, and a view would write
-        # merged closures into the encoding.
-        self.nodes_t = enc.singleton_nodes.T.copy()  # [r, w] closure nodes
+        # singletons Algorithm 2 expels.  The closure nodes are a C-order
+        # ``intp`` copy, kept so by every compaction and widening: the
+        # kernel gathers through each attribute's contiguous row, and a
+        # view of the encoding would get merged closures written into it.
+        self.nodes_t = np.array(enc.singleton_nodes.T, dtype=np.intp, order="C")
         self.sizes = np.ones(n, dtype=np.int64)
         self.costs = np.zeros(n, dtype=np.float64)
         self.members: list[list[int] | None] = [[i] for i in range(n)]
@@ -221,6 +224,22 @@ class _Engine:
             self.matrix[a:b, a:] = dist
             self.matrix[b:, a:b] = dist[:, b - a :].T
             self._scan(slice(a, b), self.matrix[a:b])
+        # The block of rows a repair or a move gathers: at most
+        # ``_BLOCK_CELLS`` cells, or one row where a row holds more.
+        # Allocated once the blocks above are freed, whose memory it
+        # can take over.
+        self._rows = np.empty(min(n * n, max(n, _BLOCK_CELLS)), dtype=np.float64)
+
+    def _gather_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The matrix rows ``rows``, gathered into the reused ``_rows``
+        buffer: a fresh block per repair or move would fault its pages
+        in again every time."""
+        w = self.cols.size
+        block = self._rows[: rows.size * w].reshape(rows.size, w)
+        # ``clip``: the rows are in range, and "raise" would buffer the
+        # output instead of gathering straight into ``block``.
+        np.take(self.matrix, rows, axis=0, out=block, mode="clip")
+        return block
 
     def _scan(self, rows: slice | np.ndarray, block: np.ndarray) -> None:
         """Make ``rows`` exact from ``block``, their entries with every
@@ -320,7 +339,7 @@ class _Engine:
         # repro: allow[REP011] rescans the stale rows of one selection, a block at a time; one call per merge checkpoint
         for a in range(0, rows.size, step):
             part = rows[a : a + step]
-            block = self.matrix[part]
+            block = self._gather_rows(part)
             block += self.penalty
             self._scan(part, block)
         self.stat_rescans += rows.size
@@ -342,7 +361,8 @@ class _Engine:
         starts = range(0, width, step)
         # repro: allow[REP011] moves every kept row once per compaction or widening, a block at a time; one call per merge checkpoint
         for a in reversed(starts) if descending else starts:
-            dst[a : a + step] = self.matrix[src[a : a + step]].take(src, axis=1)
+            rows = self._gather_rows(src[a : a + step])
+            dst[a : a + step] = rows.take(src, axis=1)
         self.matrix = dst
 
     def _compact(self) -> None:
@@ -356,7 +376,7 @@ class _Engine:
         self.row_arg = remap[self.row_arg[keep]]
         self.row_min = self.row_min[keep]
         self.row_sec = self.row_sec[keep]
-        self.nodes_t = self.nodes_t[:, keep]
+        self.nodes_t = self.nodes_t.take(keep, axis=1)  # C order, unlike [:, keep]
         self.sizes = self.sizes[keep]
         self.costs = self.costs[keep]
         self.members = [self.members[j] for j in keep]

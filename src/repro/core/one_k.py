@@ -104,7 +104,7 @@ def one_k_anonymize(
     check_generalizes_rows(enc, nodes)
 
     fused = FusedJoinCost(model)
-    nodes_t = nodes.T.astype(np.intp)  # [r, n], gather-ready indices
+    nodes_t = np.ascontiguousarray(nodes.T, dtype=np.intp)  # [r, n] gather rows
     cost = np.asarray(model.record_cost(nodes), dtype=np.float64)
     masks = enc.value_masks(nodes)
     codes = enc.codes.tolist()

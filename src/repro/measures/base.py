@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import copy
 from abc import ABC, abstractmethod
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -242,33 +242,44 @@ class FusedJoinCost:
     """The join→cost kernel: ``c(join(row, anchor))`` for many rows at once.
 
     Attribute j contributes ``node_costs_j[join_j[row_j, anchor_j]]``.
-    For one anchor node c that is a lookup in the short vector
-    ``node_costs_j[join_j[:, c]]`` (one entry per node of attribute j),
-    so pricing m candidate unions costs one gather of m per attribute
-    and no materialized union matrix.  Rows come *attribute-major*
-    (``rows_t[j]`` holds attribute j's node of every row).
+    The kernel looks that up in a C-order cost-of-join table built once
+    per attribute, ``T_j = node_costs_j[join_j.T]``: row c of ``T_j`` is
+    the term of every node of attribute j against anchor node c.  So
+    pricing m rows against one anchor costs one row view and one gather
+    of m per attribute, and no union matrix is materialized.  Rows come
+    *attribute-major* (``rows_t[j]`` holds attribute j's node of every
+    row), and C-contiguous ``np.intp`` rows gather fastest.  The tables
+    hold Σ_j N_j² doubles for attributes of N_j nodes (13,430, about
+    107 KB, on ADT), twice the int32 join tables they come from.
 
     Every cost is bit-identical to
     ``model.record_cost(enc.join_rows(row, anchor))``:
 
-    * the join is looked up as ``join[row, anchor]``, the orientation
-      of ``join_rows(rows, anchor)``;
+    * ``T_j[c, b] = node_costs_j[join_j[b, c]]``, so the join is looked
+      up as ``join[row, anchor]``, the orientation of
+      ``join_rows(rows, anchor)``;
     * attribute terms are summed left to right, then divided once by
       ``r`` — the float operations of ``record_cost``, in the same
-      order (a vectorized ``sum`` would reassociate them).
+      order (a vectorized ``sum`` would reassociate them).  Each term
+      is released before the next one is built, so a block of anchors
+      holds two block-sized arrays at a time, not three.
 
     ``record_cost`` starts its sum from ``0.0``, which turns a ``-0.0``
-    first term into ``+0.0``.  The kernel keeps its own copy of the node
-    costs with ``0.0`` added once, so it can start from the first term
-    itself and still produce the same bits.
+    first term into ``+0.0``.  The tables are gathered from the node
+    costs with ``0.0`` added once, so the kernel can start from the
+    first term itself and still produce the same bits.
     """
 
-    __slots__ = ("_costs", "_joins", "_r")
+    __slots__ = ("_r", "_tables")
 
     def __init__(self, model: CostModel) -> None:
-        self._costs = tuple(vec + 0.0 for vec in model.node_costs)
-        self._joins = tuple(att.join for att in model.enc.attrs)
-        self._r = len(self._joins)
+        # ``take`` returns C order: fancy indexing with the F-order
+        # ``join.T`` would give F-order tables, whose rows are strided.
+        self._tables = tuple(
+            (vec + 0.0).take(att.join.T)
+            for vec, att in zip(model.node_costs, model.enc.attrs)
+        )
+        self._r = len(self._tables)
 
     def term(
         self, j: int, rows_j: np.ndarray, anchors_j: np.ndarray | int
@@ -276,18 +287,7 @@ class FusedJoinCost:
         """Attribute j's cost term ``node_costs_j[join_j[row, anchor]]``
         of every row against every anchor node: ``[m]`` for one anchor,
         ``[B, m]`` for ``B`` anchors."""
-        column = self._costs[j][self._joins[j].T[anchors_j]]
-        return np.take(column, rows_j, axis=-1)
-
-    def _sum(self, terms: Iterator[np.ndarray]) -> np.ndarray:
-        """Record costs from the r per-attribute terms, in attribute
-        order.  The terms must be fresh arrays: the first is summed
-        into in place."""
-        total = next(terms)
-        for term in terms:
-            total += term
-        total /= self._r
-        return total
+        return self._tables[j][anchors_j].take(rows_j, axis=-1)
 
     def costs(self, rows_t: np.ndarray, anchors: np.ndarray) -> np.ndarray:
         """Union costs of every row against one anchor or a block.
@@ -296,15 +296,26 @@ class FusedJoinCost:
         gives ``[m]`` costs; a block of anchors ``[B, r]`` gives
         ``[B, m]``, one row per anchor.
         """
-        anchors = np.asarray(anchors)
-        return self._sum(
-            self.term(j, rows_t[j], anchors[..., j]) for j in range(self._r)
-        )
+        anchors_t = np.asarray(anchors).T
+        total = self.term(0, rows_t[0], anchors_t[0])
+        for j in range(1, self._r):
+            total += self.term(j, rows_t[j], anchors_t[j])
+        total /= self._r
+        return total
 
     def pair_costs(self, nodes_a: np.ndarray, node_b: np.ndarray) -> np.ndarray:
         """Union costs of every row of record-major ``nodes_a`` ``[m, r]``
         with one anchor ``node_b``."""
         return self.costs(np.asarray(nodes_a).T, node_b)
+
+    def _pair_term(
+        self, j: int, rows_j: np.ndarray, anchors_j: np.ndarray
+    ) -> np.ndarray:
+        """Attribute j's term of row i against anchor i, for every i."""
+        table = self._tables[j]
+        flat = np.multiply(anchors_j, len(table), dtype=np.intp)
+        flat += rows_j
+        return table.ravel().take(flat)
 
     def elementwise_costs(
         self, rows_t: np.ndarray, anchors_t: np.ndarray
@@ -313,18 +324,14 @@ class FusedJoinCost:
 
         ``rows_t`` and ``anchors_t`` are both ``[r, m]`` (attribute-major).
         Entry i is bit-identical to ``costs(rows_t, anchors_t.T)[i, i]``:
-        the same ``join[row, anchor]`` lookup, left-to-right sum and one
-        division by ``r``, without the ``m × m`` block.
+        the same table entry ``T_j[anchor, row]``, left-to-right sum and
+        one division by ``r``, without the ``m × m`` block.
         """
-        return self._sum(
-            self._costs[j].take(
-                self._joins[j].ravel().take(
-                    np.multiply(rows_t[j], len(self._joins[j]), dtype=np.intp)
-                    + anchors_t[j]
-                )
-            )
-            for j in range(self._r)
-        )
+        total = self._pair_term(0, rows_t[0], anchors_t[0])
+        for j in range(1, self._r):
+            total += self._pair_term(j, rows_t[j], anchors_t[j])
+        total /= self._r
+        return total
 
 
 class FixedRowJoinCost:
@@ -335,23 +342,25 @@ class FixedRowJoinCost:
     only on (j, c), so each such row of terms is computed by
     :meth:`FusedJoinCost.term` the first time an anchor needs it and
     kept.  Memory is O(distinct anchor nodes seen × m) per attribute;
-    no ``num_nodes × m`` block is built up front.  Costs are the
-    kernel's, bit for bit.
+    no ``num_nodes × m`` block is built up front.  A block's memo rows
+    are gathered one attribute at a time into one buffer kept across
+    calls, so a block allocates only the array it returns.  Costs are
+    the kernel's, bit for bit.
     """
 
-    __slots__ = ("_fused", "_rows_t", "_slot", "_terms", "_used")
+    __slots__ = ("_fused", "_gather", "_rows_t", "_slot", "_terms", "_used")
 
     def __init__(self, fused: FusedJoinCost, rows: np.ndarray) -> None:
         rows = np.asarray(rows)
+        tables = fused._tables
         self._fused = fused
-        self._rows_t = np.ascontiguousarray(rows.T)
-        self._slot = [
-            np.full(len(join), -1, dtype=np.int64) for join in fused._joins
-        ]
+        self._rows_t = np.ascontiguousarray(rows.T, dtype=np.intp)
+        self._slot = [np.full(len(table), -1, dtype=np.int64) for table in tables]
         self._terms = [
-            np.empty((4, rows.shape[0]), dtype=np.float64) for _ in fused._joins
+            np.empty((4, rows.shape[0]), dtype=np.float64) for _ in tables
         ]
-        self._used = [0] * len(fused._joins)
+        self._used = [0] * len(tables)
+        self._gather = np.empty(0, dtype=np.float64)
 
     def _slots(self, j: int, nodes: np.ndarray) -> np.ndarray:
         """Rows of ``self._terms[j]`` holding each anchor node's terms."""
@@ -378,11 +387,20 @@ class FixedRowJoinCost:
 
     def costs(self, anchors: np.ndarray) -> np.ndarray:
         """``[B, m]``: the union cost of every row with each anchor of
-        the ``[B, r]`` block."""
+        the ``[B, r]`` block.  The array is the caller's: callers keep
+        and overwrite it, so it never shares the gather buffer."""
         slots = [self._slots(j, anchors[:, j]) for j in range(len(self._terms))]
-        return self._fused._sum(
-            terms[slot] for terms, slot in zip(self._terms, slots)
-        )
+        total = self._terms[0][slots[0]]
+        if self._gather.size < total.size:
+            self._gather = np.empty(total.size, dtype=np.float64)
+        gather = self._gather[: total.size].reshape(total.shape)
+        for terms, slot in zip(self._terms[1:], slots[1:]):
+            # ``clip``: the slots are in range, and "raise" would
+            # buffer the output instead of writing into ``gather``.
+            np.take(terms, slot, axis=0, out=gather, mode="clip")
+            total += gather
+        total /= len(self._terms)
+        return total
 
 
 def evaluate_record_measure(

@@ -208,7 +208,103 @@ class _NegativeZeroLM(LossMeasure):
         return costs
 
 
+#: The kernel's inputs that each take their own path through the
+#: cost-of-join tables: several attributes, interval tables, one
+#: attribute, and node costs stored as ``-0.0``.
+KERNEL_MODELS = {
+    "grouped": lambda: _model("grouped", "lm"),
+    "intervals": lambda: _model("intervals", "entropy"),
+    "one-attribute": lambda: CostModel(
+        EncodedTable(make_random_table(15, seed=5, domain_sizes=(6,))), LMMeasure()
+    ),
+    "negative-zero": lambda: CostModel(
+        EncodedTable(make_random_table(12, seed=4, domain_sizes=(4, 3))),
+        _NegativeZeroLM(),
+    ),
+}
+
+
+def _record_costs(model, rows, anchors):
+    """``record_cost(join_rows(rows, anchors))`` as a float64 array."""
+    joined = model.enc.join_rows(rows, anchors)
+    return np.asarray(model.record_cost(joined), dtype=np.float64)
+
+
 class TestFusedJoinCost:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dtype", [np.int32, np.intp], ids=["int32", "intp"])
+    @pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+    def test_layouts_bit_identical_to_record_cost(self, name, dtype, order):
+        # Rows and anchors, singletons and unions, as int32 or intp,
+        # C-contiguous or F-order (so that each attribute's row is
+        # strided); every cost is record_cost's bits, against one
+        # anchor, a block or pairwise.
+        model = KERNEL_MODELS[name]()
+        enc = model.enc
+        fused = FusedJoinCost(model)
+        rng = np.random.default_rng(7)
+        nodes = enc.singleton_nodes
+        n = enc.num_records
+
+        def draw(size):
+            return nodes[rng.integers(0, n, size=size)]
+
+        rows = np.concatenate([nodes, enc.join_rows(nodes, draw(n))])
+        m = len(rows)
+        anchors = np.concatenate([draw(2), enc.join_rows(draw(3), draw(3))])
+        rows_t = np.array(rows.T, dtype=dtype, order=order)
+        anchors_in = np.array(anchors, dtype=dtype, order=order)
+        if order == "F" and enc.num_attributes > 1:
+            assert rows_t[0].strides[0] > rows_t.itemsize
+        block = fused.costs(rows_t, anchors_in)
+        assert block.shape == (5, m)
+        for a, anchor in enumerate(anchors_in):
+            expect = _record_costs(model, rows, anchors[a])
+            assert fused.costs(rows_t, anchor).tobytes() == expect.tobytes()
+            assert block[a].tobytes() == expect.tobytes()
+        partners = rows[rng.permutation(m)]
+        partners_t = np.array(partners.T, dtype=dtype, order=order)
+        expect = _record_costs(model, rows, partners)
+        got = fused.elementwise_costs(rows_t, partners_t)
+        assert got.tobytes() == expect.tobytes()
+        if name == "negative-zero":  # some pair's first term is -0.0
+            first = model.node_costs[0][enc.join_rows(rows, partners)[:, 0]]
+            assert np.signbit(first).any()
+
+    def test_fixed_rows_smaller_block_after_larger(self):
+        # The gather buffer is kept across calls: a smaller block after
+        # a larger one reads its front, and no result shares it, since
+        # callers keep and overwrite the prices they are given.
+        model = _model("intervals", "entropy")
+        enc = model.enc
+        fused = FusedJoinCost(model)
+        rows = enc.unique_singleton_nodes
+        rng = np.random.default_rng(4)
+        u = len(rows)
+
+        def block(size):
+            return enc.join_rows(
+                rows[rng.integers(0, u, size=size)],
+                rows[rng.integers(0, u, size=size)],
+            )
+
+        cached = FixedRowJoinCost(fused, rows)
+        blocks = [block(9), block(3), block(9), block(12)]
+        first = cached.costs(blocks[0])
+        kept = first.copy()
+        results = [first] + [cached.costs(anchors) for anchors in blocks[1:]]
+        # Neither the smaller block nor the next one of the same size
+        # wrote into the first result.
+        assert first.tobytes() == kept.tobytes()
+        for got, anchors in zip(results, blocks):
+            assert got.tobytes() == fused.costs(rows.T, anchors).tobytes()
+            for a, anchor in enumerate(anchors):
+                expect = _record_costs(model, rows, anchor)
+                assert got[a].tobytes() == expect.tobytes()
+        results[1][:] = np.inf  # as Algorithm 4 marks spent candidates
+        again = cached.costs(blocks[1])
+        assert again.tobytes() == fused.costs(rows.T, blocks[1]).tobytes()
+
     @pytest.mark.parametrize("measure", measure_names())
     def test_bit_identical_to_record_cost(self, measure):
         model = _model("grouped", measure)

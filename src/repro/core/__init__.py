@@ -30,7 +30,7 @@ from repro.core.mondrian import mondrian_clustering
 from repro.core.scalable import blocked_agglomerative
 from repro.core.global_1k import GlobalConversionStats, global_one_k_anonymize
 from repro.core.k1 import k1_expansion, k1_nearest_neighbors, k1_optimal_cost
-from repro.core.kk import best_kk_anonymize, kk_anonymize
+from repro.core.kk import kk_anonymize
 from repro.core.kmember import kmember_clustering
 from repro.core.notions import (
     NOTIONS,
@@ -77,7 +77,6 @@ __all__ = [
     "k1_optimal_cost",
     "one_k_anonymize",
     "kk_anonymize",
-    "best_kk_anonymize",
     "global_one_k_anonymize",
     "GlobalConversionStats",
     "optimal_k_anonymity",

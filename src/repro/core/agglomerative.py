@@ -107,6 +107,7 @@ import numpy as np
 
 from repro.core.clustering import Clustering, cluster_closures
 from repro.core.distances import ClusterDistance
+from repro.core.notions import check_feasible
 from repro.errors import AnonymityError
 from repro.measures.base import CostModel, FusedJoinCost
 from repro.obs import count
@@ -675,10 +676,7 @@ def agglomerative_clustering(
         If ``k`` exceeds the number of records or the table is empty.
     """
     n = model.enc.num_records
-    if n == 0:
-        raise AnonymityError("cannot anonymize an empty table")
-    if k > n:
-        raise AnonymityError(f"k={k} exceeds the number of records n={n}")
+    check_feasible(n, k)
     if k <= 1:
         # Trivial: every record is its own cluster, nothing is generalized.
         return Clustering(n, [[i] for i in range(n)])

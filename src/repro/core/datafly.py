@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.notions import group_sizes
-from repro.errors import AnonymityError, SchemaError
+from repro.core.notions import check_feasible, group_sizes
+from repro.errors import SchemaError
 from repro.measures.base import CostModel
 from repro.runtime import checkpoint
 from repro.tabular.encoding import EncodedTable, unique_rows
@@ -79,10 +79,7 @@ def datafly(model: CostModel, k: int) -> DataflyResult:
     """
     enc = model.enc
     n, r = enc.num_records, enc.num_attributes
-    if n == 0:
-        raise AnonymityError("cannot anonymize an empty table")
-    if k > n:
-        raise AnonymityError(f"k={k} exceeds the number of records n={n}")
+    check_feasible(n, k)
     parents = _parent_table(enc)
 
     nodes = enc.singleton_nodes.copy()

@@ -27,31 +27,23 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.clustering import Clustering
+from repro.core.notions import check_feasible
 from repro.errors import AnonymityError
-from repro.measures.base import CostModel
+from repro.measures.base import CostModel, FusedJoinCost
 from repro.runtime import checkpoint
 from repro.structures.union_find import UnionFind
-
-
-def _pairwise_unique_costs(model: CostModel) -> np.ndarray:
-    """d({row_a, row_b}) for all pairs of unique rows, ``[u, u]``."""
-    enc = model.enc
-    u_nodes = enc.unique_singleton_nodes
-    u = enc.num_unique
-    cost = np.zeros((u, u), dtype=np.float64)
-    # repro: allow[REP011] iterates schema attributes, not records
-    for j, att in enumerate(enc.attrs):
-        col = u_nodes[:, j]
-        joined = att.join[col[:, None], col[None, :]]
-        cost += model.node_costs[j][joined]
-    return cost / enc.num_attributes
 
 
 def _build_forest(model: CostModel, k: int) -> tuple[UnionFind, list[tuple[int, int]]]:
     """Phase 1: link components of size < k to their nearest neighbours."""
     enc = model.enc
     n = enc.num_records
-    pair_cost = _pairwise_unique_costs(model)
+    u_nodes = enc.unique_singleton_nodes
+    # d({row_a, row_b}) for all pairs of unique rows, ``[u, u]``: the
+    # join tables are symmetric, so row a prices every row against a.
+    pair_cost = FusedJoinCost(model).costs(
+        np.ascontiguousarray(u_nodes.T, dtype=np.intp), u_nodes
+    )
     row_of = enc.unique_inverse  # record -> unique row
     records_of_row: list[list[int]] = [[] for _ in range(enc.num_unique)]
     # repro: allow[REP011] O(n) record bucketing at setup, before the checkpointed rounds
@@ -160,10 +152,7 @@ def _decompose_tree(
 def forest_clustering(model: CostModel, k: int) -> Clustering:
     """Run the full forest algorithm; every cluster has ≥ k records."""
     n = model.enc.num_records
-    if n == 0:
-        raise AnonymityError("cannot anonymize an empty table")
-    if k > n:
-        raise AnonymityError(f"k={k} exceeds the number of records n={n}")
+    check_feasible(n, k)
     if k <= 1:
         return Clustering(n, [[i] for i in range(n)])
     uf, edges = _build_forest(model, k)

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.notions import check_feasible
 from repro.errors import AnonymityError
 from repro.measures.base import CostModel, FixedRowJoinCost, FusedJoinCost
 from repro.obs import count
@@ -60,14 +61,6 @@ _SHORTLIST_MIN_K = 4
 _SHORTLIST_MIN_STEPS = 12
 
 
-def _check_k(model: CostModel, k: int) -> None:
-    n = model.enc.num_records
-    if n == 0:
-        raise AnonymityError("cannot anonymize an empty table")
-    if k > n:
-        raise AnonymityError(f"k={k} exceeds the number of records n={n}")
-
-
 def _anchor_blocks(u: int) -> range:
     return range(0, u, max(1, _BLOCK_CELLS // max(u, 1)))
 
@@ -83,7 +76,7 @@ def k1_nearest_neighbors(model: CostModel, k: int) -> np.ndarray:
 
     Returns the ``[n, r]`` node matrix of the (k,1)-anonymization.
     """
-    _check_k(model, k)
+    check_feasible(model.enc.num_records, k)
     enc = model.enc
     if k <= 1:
         return enc.singleton_nodes.copy()
@@ -429,7 +422,7 @@ def k1_expansion(model: CostModel, k: int) -> np.ndarray:
 
     Returns the ``[n, r]`` node matrix of the (k,1)-anonymization.
     """
-    _check_k(model, k)
+    check_feasible(model.enc.num_records, k)
     enc = model.enc
     if k <= 1:
         return enc.singleton_nodes.copy()
@@ -456,7 +449,7 @@ def k1_optimal_cost(model: CostModel, k: int) -> float:
     """
     from itertools import combinations
 
-    _check_k(model, k)
+    check_feasible(model.enc.num_records, k)
     enc = model.enc
     n = enc.num_records
     total = 0.0

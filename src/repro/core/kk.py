@@ -59,21 +59,3 @@ def kk_anonymize(
     checkpoint("core.kk.couple")
     return one_k_anonymize(model, base, k, join_with=join_with)
 
-
-def best_kk_anonymize(model: CostModel, k: int) -> tuple[np.ndarray, str]:
-    """Run both couplings and keep the cheaper result.
-
-    This is what Table I's "(k,k)-anon" row reports ("the result of the
-    better (k,k)-anonymization").  Returns (node matrix, winning
-    expander name).
-    """
-    best_nodes: np.ndarray | None = None
-    best_cost = np.inf
-    best_name = ""
-    for expander in EXPANDERS:
-        nodes = kk_anonymize(model, k, expander=expander)
-        cost = model.table_cost(nodes)
-        if cost < best_cost:
-            best_nodes, best_cost, best_name = nodes, cost, expander
-    assert best_nodes is not None
-    return best_nodes, best_name

@@ -24,13 +24,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.clustering import Clustering, cluster_closures
+from repro.core.notions import check_feasible
 from repro.errors import AnonymityError
-from repro.measures.base import CostModel
+from repro.measures.base import CostModel, FusedJoinCost
 from repro.runtime import checkpoint
 
 
 def kmember_clustering(model: CostModel, k: int) -> Clustering:
     """Greedy k-member partitioning; every cluster has ≥ k records.
+
+    Candidates are priced by the join→cost kernel; only the union a
+    step picks is materialized.
 
     Raises
     ------
@@ -39,15 +43,14 @@ def kmember_clustering(model: CostModel, k: int) -> Clustering:
     """
     enc = model.enc
     n = enc.num_records
-    if n == 0:
-        raise AnonymityError("cannot anonymize an empty table")
-    if k > n:
-        raise AnonymityError(f"k={k} exceeds the number of records n={n}")
+    check_feasible(n, k)
     if k <= 1:
         return Clustering(n, [[i] for i in range(n)])
 
+    fused = FusedJoinCost(model)
     unassigned = np.ones(n, dtype=bool)
     singletons = enc.singleton_nodes
+    singletons_t = np.ascontiguousarray(singletons.T, dtype=np.intp)
     clusters: list[list[int]] = []
     # The "previous seed" starts as the first record, per the original
     # algorithm's arbitrary initialization (deterministic here).
@@ -57,27 +60,18 @@ def kmember_clustering(model: CostModel, k: int) -> Clustering:
         checkpoint("core.kmember.cluster")
         candidates = np.flatnonzero(unassigned)
         # Seed: the unassigned record furthest from the previous anchor.
-        pair_costs = np.asarray(
-            model.record_cost(
-                enc.join_rows(singletons[candidates], anchor_nodes)
-            ),
-            dtype=np.float64,
-        )
+        pair_costs = fused.costs(singletons_t[:, candidates], anchor_nodes)
         seed = int(candidates[int(pair_costs.argmax())])
         members = [seed]
         unassigned[seed] = False
-        cur = singletons[seed].copy()
-        cur_cost = float(model.record_cost(cur))
+        cur = singletons[seed]
         while len(members) < k:
             candidates = np.flatnonzero(unassigned)
-            union = enc.join_rows(singletons[candidates], cur)
-            costs = np.asarray(model.record_cost(union), dtype=np.float64)
-            pick = int(costs.argmin())
-            chosen = int(candidates[pick])
+            costs = fused.costs(singletons_t[:, candidates], cur)
+            chosen = int(candidates[int(costs.argmin())])
             members.append(chosen)
             unassigned[chosen] = False
-            cur = union[pick]
-            cur_cost = float(costs[pick])
+            cur = enc.join_rows(singletons[chosen], cur)
         clusters.append(members)
         anchor_nodes = cur
 
@@ -92,11 +86,11 @@ def kmember_clustering(model: CostModel, k: int) -> Clustering:
         )
         # repro: allow[REP011] distributes the < k leftover records after the checkpointed clustering loop
         for record in leftover:
-            union = enc.join_rows(closure_nodes, singletons[record])
-            costs = np.asarray(model.record_cost(union), dtype=np.float64)
-            delta = costs - closure_costs
-            target = int(delta.argmin())
+            costs = fused.costs(closure_nodes.T, singletons[record])
+            target = int((costs - closure_costs).argmin())
             clusters[target].append(record)
-            closure_nodes[target] = union[target]
+            closure_nodes[target] = enc.join_rows(
+                closure_nodes[target], singletons[record]
+            )
             closure_costs[target] = costs[target]
     return Clustering(n, clusters)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.clustering import Clustering
-from repro.errors import AnonymityError
+from repro.core.notions import check_feasible
 from repro.measures.base import CostModel
 from repro.runtime import checkpoint
 from repro.tabular.encoding import EncodedTable
@@ -70,10 +70,7 @@ def mondrian_clustering(model: CostModel, k: int) -> Clustering:
     """
     enc = model.enc
     n = enc.num_records
-    if n == 0:
-        raise AnonymityError("cannot anonymize an empty table")
-    if k > n:
-        raise AnonymityError(f"k={k} exceeds the number of records n={n}")
+    check_feasible(n, k)
     if k <= 1:
         return Clustering(n, [[i] for i in range(n)])
 

@@ -50,6 +50,15 @@ def normalize_notion(notion: str) -> str:
     return name
 
 
+def check_feasible(n: int, k: int) -> None:
+    """:class:`~repro.errors.AnonymityError` unless a table of ``n``
+    records can be made k-anonymous: it is not empty and ``k ≤ n``."""
+    if n == 0:
+        raise AnonymityError("cannot anonymize an empty table")
+    if k > n:
+        raise AnonymityError(f"k={k} exceeds the number of records n={n}")
+
+
 def group_sizes(node_matrix: np.ndarray) -> np.ndarray:
     """Per-record size of its equivalence class of identical generalized
     records (the quantity behind Definition 4.1)."""

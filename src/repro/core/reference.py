@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core.clustering import Clustering
 from repro.core.distances import ClusterDistance
-from repro.core.k1 import _check_k
+from repro.core.notions import check_feasible
 from repro.errors import AnonymityError
 from repro.matching.allowed import allowed_edges
 from repro.measures.base import CostModel
@@ -167,7 +167,7 @@ def _shrink(
 
 def reference_k1_nearest(model: CostModel, k: int) -> np.ndarray:
     """Algorithm 3, one anchor at a time."""
-    _check_k(model, k)
+    check_feasible(model.enc.num_records, k)
     enc = model.enc
     if k <= 1:
         return enc.singleton_nodes.copy()
@@ -193,7 +193,7 @@ def reference_k1_nearest(model: CostModel, k: int) -> np.ndarray:
 
 def reference_k1_expansion(model: CostModel, k: int) -> np.ndarray:
     """Algorithm 4, one anchor and one grow step at a time."""
-    _check_k(model, k)
+    check_feasible(model.enc.num_records, k)
     enc = model.enc
     if k <= 1:
         return enc.singleton_nodes.copy()

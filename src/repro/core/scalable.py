@@ -26,6 +26,7 @@ from repro.core.agglomerative import agglomerative_clustering
 from repro.core.clustering import Clustering
 from repro.core.distances import ClusterDistance
 from repro.core.mondrian import _best_split
+from repro.core.notions import check_feasible
 from repro.errors import AnonymityError
 from repro.measures.base import CostModel
 from repro.runtime import checkpoint
@@ -88,10 +89,7 @@ def blocked_agglomerative(
     """
     enc = model.enc
     n = enc.num_records
-    if n == 0:
-        raise AnonymityError("cannot anonymize an empty table")
-    if k > n:
-        raise AnonymityError(f"k={k} exceeds the number of records n={n}")
+    check_feasible(n, k)
     if block_size < 2 * k:
         raise AnonymityError(
             f"block_size={block_size} must be at least 2k={2 * k}"

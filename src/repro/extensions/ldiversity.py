@@ -32,7 +32,7 @@ import numpy as np
 from repro.core.clustering import Clustering, cluster_closures
 from repro.core.distances import ClusterDistance
 from repro.errors import AnonymityError, SchemaError
-from repro.measures.base import CostModel
+from repro.measures.base import CostModel, FusedJoinCost
 from repro.tabular.encoding import EncodedTable
 
 
@@ -147,7 +147,8 @@ def enforce_l_diversity(
     In every step the worst-offending cluster is merged with the cluster
     minimizing the distance function — exactly Algorithm 1's merge
     primitive, applied under a diversity trigger instead of a size
-    trigger.  Supports all three [15] criteria; see :func:`is_l_diverse`.
+    trigger, with the candidate unions priced by the join→cost kernel.
+    Supports all three [15] criteria; see :func:`is_l_diverse`.
 
     Raises
     ------
@@ -186,6 +187,7 @@ def enforce_l_diversity(
             "the demand is unattainable"
         )
 
+    fused = FusedJoinCost(model)
     clusters = [list(c) for c in clustering.clusters]
     merges = 0
     while True:
@@ -198,8 +200,7 @@ def enforce_l_diversity(
         nodes = cluster_closures(enc, clusters)
         sizes = np.array([len(c) for c in clusters], dtype=np.int64)
         costs = np.asarray(model.record_cost(nodes), dtype=np.float64)
-        union = enc.join_rows(nodes, nodes[ci])
-        cost_union = np.asarray(model.record_cost(union), dtype=np.float64)
+        cost_union = fused.costs(nodes.T, nodes[ci])
         dist = np.asarray(
             distance.evaluate(sizes[ci], costs[ci], sizes, costs, cost_union),
             dtype=np.float64,

@@ -41,9 +41,9 @@ def node_costs_reference(
     """Per-node Π_E costs, one linear node scan per node.
 
     The straightforward O(nodes · values) loop; kept as the semantic
-    reference for the vectorized :meth:`EntropyMeasure.node_costs` (the
-    ``entropy-node-costs`` benchmark pair and the equivalence tests
-    compare the two).
+    reference for the vectorized :meth:`EntropyMeasure.node_costs`
+    (``TestHotPathIdentity::test_entropy_node_costs_match_reference``
+    in ``tests/test_perf.py`` compares the two).
     """
     coll = attribute.collection
     costs = np.empty(attribute.num_nodes, dtype=np.float64)
@@ -59,8 +59,9 @@ def entry_costs_reference(
     """Per-(value, node) non-uniform entropy costs, nested Python loops.
 
     Reference implementation for the vectorized
-    :meth:`NonUniformEntropyMeasure.entry_costs` (the
-    ``entropy-entry-costs`` benchmark pair compares the two).
+    :meth:`NonUniformEntropyMeasure.entry_costs`
+    (``TestHotPathIdentity::test_entry_costs_bit_identical_to_reference``
+    in ``tests/test_perf.py`` compares the two).
     """
     coll = attribute.collection
     m, n_nodes = attribute.num_values, attribute.num_nodes

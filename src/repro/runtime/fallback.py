@@ -32,12 +32,8 @@ from typing import Any
 import numpy as np
 
 from repro.core.api import AnonymizationResult, anonymize
-from repro.errors import (
-    AnonymityError,
-    DeadlineExceeded,
-    FallbackExhausted,
-    ReproError,
-)
+from repro.core.notions import check_feasible
+from repro.errors import DeadlineExceeded, FallbackExhausted, ReproError
 from repro.measures.base import CostModel
 from repro.measures.registry import get_measure
 from repro.obs import count, span
@@ -159,10 +155,7 @@ def _suppress_all(
     m = n ≥ k — maximal privacy, minimal utility, O(n·r) time.
     """
     n = enc.num_records
-    if n == 0:
-        raise AnonymityError("cannot anonymize an empty table")
-    if k > n:
-        raise AnonymityError(f"k={k} exceeds the number of records n={n}")
+    check_feasible(n, k)
     with Timer() as timer:
         full = np.array([att.full_node for att in enc.attrs], dtype=np.int32)
         node_matrix = np.tile(full, (n, 1))

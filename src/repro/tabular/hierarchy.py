@@ -28,9 +28,10 @@ from repro.tabular.attribute import Attribute
 if TYPE_CHECKING:  # numpy stays a lazy import for the table builders
     import numpy as np
 
-#: Cells of the (row block × node × node) "covers both" cube that one
-#: step of :meth:`SubsetCollection.build_join_table` materializes; the
-#: cube is boolean, so a block stays near this many bytes.
+#: Cells of the (row block × node × node) "covers both" cube, and of the
+#: (row block × node × value) "covered by" cube, that one step of
+#: :meth:`SubsetCollection.build_join_table` materializes; the cubes are
+#: boolean, so a block stays near this many bytes.
 _JOIN_BLOCK_CELLS = 1 << 22
 
 
@@ -232,17 +233,24 @@ class SubsetCollection:
         first node in canonical order that covers both (the scan of
         :meth:`closure_of_mask`), and a is the first node covering
         itself, so each row of the table is an argmax — the first True —
-        over a boolean "covers both" block.  Row blocks keep that cube
-        near ``_JOIN_BLOCK_CELLS`` bytes.
+        over a boolean "covers both" block.  Row blocks keep that cube,
+        and the "covered by" cube it is built from, near
+        ``_JOIN_BLOCK_CELLS`` bytes.
         """
         import numpy as np
 
-        member = self._membership().astype(np.float32)
-        # (member @ (1 - member).T)[a, c] counts the values of a that c
-        # lacks (small integer sums, exact in float32): c covers a
-        # exactly where it is zero.
-        covered_by = (member @ (1.0 - member).T) == 0
-        n = len(self._nodes)
+        member = self._membership()
+        outside = ~member
+        n, m = member.shape
+        # covered_by[a, c]: no value of a lies outside c, a (row block ×
+        # node × value) cube at a time.
+        covered_by = np.empty((n, n), dtype=bool)
+        step = max(1, _JOIN_BLOCK_CELLS // (n * m))
+        for start in range(0, n, step):
+            block = member[start : start + step]
+            covered_by[start : start + step] = ~(
+                block[:, None, :] & outside[None, :, :]
+            ).any(axis=2)
         step = max(1, _JOIN_BLOCK_CELLS // (n * n))
         join = np.empty((n, n), dtype=np.int32)
         for start in range(0, n, step):

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from repro.core.clustering import Clustering
 from repro.measures.base import CostModel
 from repro.measures.entropy import EntropyMeasure
 from repro.measures.lm import LMMeasure
@@ -121,3 +125,8 @@ def make_random_table(
         for _ in range(n)
     ]
     return Table(schema, rows)
+
+
+def clusters_digest(clustering: Clustering) -> str:
+    """SHA-256 of a clustering's cluster list as JSON, member order kept."""
+    return hashlib.sha256(json.dumps(clustering.clusters).encode()).hexdigest()

@@ -17,7 +17,19 @@ from repro.extensions.ldiversity import (
 )
 from repro.measures.base import CostModel
 from repro.measures.entropy import EntropyMeasure
+from repro.measures.registry import get_measure
 from repro.tabular.encoding import EncodedTable
+from tests.conftest import clusters_digest
+
+
+#: Merges and :func:`tests.conftest.clusters_digest` of the ℓ-diversity
+#: repair of Algorithm 1 (d3, k = 3, LM) at n = 400, dataset seed 3,
+#: computed while the repair still priced every candidate union by
+#: materializing it.
+PINNED_REPAIRS = {
+    ("adult", 2): (75, "d0b7cdec2cef55fb915f7736d60f0ef5b3c12a99c1ed94b6d1b59120f3965d06"),
+    ("cmc", 3): (95, "b960e8bd0411a27b8215a271ffb677a265f583c8aa15b369fd5c48041ec47e5d"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +85,17 @@ class TestLDiversity:
             enforce_l_diversity(
                 art_model, clustering, l=100, distance=get_distance("d3")
             )
+
+    @pytest.mark.parametrize("dataset,l", [("adult", 2), ("cmc", 3)])
+    def test_pinned_repairs(self, dataset, l):
+        table = load(dataset, n=400, seed=3, private=True)
+        model = CostModel(EncodedTable(table), get_measure("lm"))
+        d3 = get_distance("d3")
+        clustering = agglomerative_clustering(model, 3, d3)
+        repair = enforce_l_diversity(model, clustering, l=l, distance=d3)
+        merges, digest = PINNED_REPAIRS[(dataset, l)]
+        assert repair.merges == merges
+        assert clusters_digest(repair.clustering) == digest
 
 
 class TestDiversityCriteria:

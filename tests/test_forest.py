@@ -7,11 +7,13 @@ from repro.core.clustering import clustering_to_nodes
 from repro.core.distances import distance_names, get_distance
 from repro.core.forest import forest_clustering
 from repro.core.notions import is_k_anonymous
+from repro.datasets.registry import load
 from repro.errors import AnonymityError
 from repro.measures.base import CostModel
 from repro.measures.entropy import EntropyMeasure
+from repro.measures.registry import get_measure
 from repro.tabular.encoding import EncodedTable
-from tests.conftest import make_random_table
+from tests.conftest import clusters_digest, make_random_table
 
 
 class TestForest:
@@ -84,3 +86,33 @@ class TestForest:
             for name in distance_names()
         )
         assert best_agg <= model.table_cost(forest_nodes) + 1e-9
+
+
+
+#: :func:`tests.conftest.clusters_digest` of the forest at k = 5, dataset
+#: seed 1, computed while the forest still summed its own pair costs
+#: attribute by attribute.
+PINNED = {
+    ("art", 1000, "lm"): "5afb36f1f7cb3b934bc1d484ea06d7162d02f83740f9060bebc2f552e34b10ae",
+    ("art", 1000, "entropy"): "40a56a046878d19bbf58d6e222ea578f89352fa5bc1be59da216064c5e883802",
+    ("cmc", 1500, "lm"): "00150821893fc2e89c80c1c3a967bcf23a7f591d00087bb02cca1766c7fb6f5b",
+    ("cmc", 1500, "entropy"): "3a6b0bab2136191662e02829a56b88eb7d880db25cf17f961e638547a8a61e8c",
+    ("adult", 5000, "lm"): "027b52b6571eec869ca27ccd0ae930ca68b306d2f14362588be953cc30cd8c73",
+}
+
+
+@pytest.mark.parametrize(
+    "dataset,n,measure",
+    [
+        ("art", 1000, "lm"),
+        ("art", 1000, "entropy"),
+        ("cmc", 1500, "lm"),
+        ("cmc", 1500, "entropy"),
+        # ADT 5000 prices a [4714, 4714] pair matrix.
+        pytest.param("adult", 5000, "lm", marks=pytest.mark.slow),
+    ],
+)
+def test_pinned_paper_size_outputs(dataset, n, measure):
+    model = CostModel(EncodedTable(load(dataset, n=n, seed=1)), get_measure(measure))
+    digest = clusters_digest(forest_clustering(model, 5))
+    assert digest == PINNED[(dataset, n, measure)]

@@ -15,6 +15,7 @@ k ∈ {1, 2, 3, 5, n}, duplicate-heavy tables and interval schemas.
 from __future__ import annotations
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -304,6 +305,25 @@ class TestFusedJoinCost:
         results[1][:] = np.inf  # as Algorithm 4 marks spent candidates
         again = cached.costs(blocks[1])
         assert again.tobytes() == fused.costs(rows.T, blocks[1]).tobytes()
+
+    @pytest.mark.parametrize("measure", measure_names())
+    def test_fixed_rows_price_every_node(self, measure):
+        # An anchor block holding every combination of nodes, so every
+        # row of every attribute's term table is read, unions and
+        # nodes no record generalizes to included.
+        model = _model("intervals", measure)
+        enc = model.enc
+        fused = FusedJoinCost(model)
+        rows = enc.unique_singleton_nodes
+        anchors = np.array(
+            list(itertools.product(*(range(att.num_nodes) for att in enc.attrs))),
+            dtype=np.int32,
+        )
+        got = FixedRowJoinCost(fused, rows).costs(anchors)
+        assert got.tobytes() == fused.costs(rows.T, anchors).tobytes()
+        for a, anchor in enumerate(anchors):
+            expect = _record_costs(model, rows, anchor)
+            assert got[a].tobytes() == expect.tobytes()
 
     @pytest.mark.parametrize("measure", measure_names())
     def test_bit_identical_to_record_cost(self, measure):

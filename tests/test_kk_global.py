@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.global_1k import global_one_k_anonymize
-from repro.core.kk import best_kk_anonymize, kk_anonymize
+from repro.core.kk import kk_anonymize
 from repro.core.notions import (
     is_global_one_k_anonymous,
     is_kk_anonymous,
@@ -36,13 +36,6 @@ class TestKKAnonymize:
     def test_unknown_expander_rejected(self, entropy_model):
         with pytest.raises(AnonymityError, match="expander"):
             kk_anonymize(entropy_model, 3, expander="zz")
-
-    def test_best_picks_minimum(self, entropy_model):
-        nodes, winner = best_kk_anonymize(entropy_model, 4)
-        exp = entropy_model.table_cost(kk_anonymize(entropy_model, 4, "expansion"))
-        nn = entropy_model.table_cost(kk_anonymize(entropy_model, 4, "nearest"))
-        assert entropy_model.table_cost(nodes) == pytest.approx(min(exp, nn))
-        assert winner in ("expansion", "nearest")
 
     @pytest.mark.parametrize("seed", range(4))
     def test_kk_cheaper_than_k_anonymity(self, seed):

@@ -5,11 +5,13 @@ import pytest
 from repro.core.clustering import clustering_to_nodes
 from repro.core.kmember import kmember_clustering
 from repro.core.notions import is_k_anonymous
+from repro.datasets.registry import load
 from repro.errors import AnonymityError
 from repro.measures.base import CostModel
 from repro.measures.entropy import EntropyMeasure
+from repro.measures.registry import get_measure
 from repro.tabular.encoding import EncodedTable
-from tests.conftest import make_random_table
+from tests.conftest import clusters_digest, make_random_table
 
 
 class TestKMember:
@@ -78,3 +80,32 @@ class TestKMember:
             clustering_to_nodes(model.enc, forest_clustering(model, k))
         )
         assert kmember <= forest * 1.05 + 1e-9
+
+
+
+#: :func:`tests.conftest.clusters_digest` of k-member at k = 5, dataset
+#: seed 1, computed while k-member still priced every candidate union
+#: by materializing it.
+PINNED = {
+    ("art", 1000, "lm"): "43dd646bb0fe553513d4a6224af6ed60612e76a1c5d76cb03b17b847b91816bc",
+    ("art", 1000, "entropy"): "e15fcc08752057c402d0ae4f2d8c811682cb653240f888748806d2b086810850",
+    ("cmc", 1500, "lm"): "dc8e84ba3e46b3de47a6c991ecfe2ba17ee85b9b1a98f8d4115d5cea0944076e",
+    ("cmc", 1500, "entropy"): "a2163d7de3e78af7d8167e45454340feb2a5f6ef9e50b7468eea2b799b84316b",
+    ("adult", 5000, "lm"): "c84b67bb35357fef1da91294c0296964f326160f01c2e336fd3dbee92d0ada99",
+}
+
+
+@pytest.mark.parametrize(
+    "dataset,n,measure",
+    [
+        ("art", 1000, "lm"),
+        ("art", 1000, "entropy"),
+        ("cmc", 1500, "lm"),
+        ("cmc", 1500, "entropy"),
+        pytest.param("adult", 5000, "lm", marks=pytest.mark.slow),
+    ],
+)
+def test_pinned_paper_size_outputs(dataset, n, measure):
+    model = CostModel(EncodedTable(load(dataset, n=n, seed=1)), get_measure(measure))
+    digest = clusters_digest(kmember_clustering(model, 5))
+    assert digest == PINNED[(dataset, n, measure)]
